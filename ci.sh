@@ -27,6 +27,9 @@ cargo build --release --offline --workspace
 echo "== cargo build --release --offline --examples"
 cargo build --release --offline --workspace --examples
 
+echo "== cargo build serve_e2e (compile only: the benchmark builds against the serve, registry and JsonSlice APIs)"
+cargo build --release --offline --manifest-path serve_e2e/Cargo.toml
+
 echo "== fgcs lint (static analysis: determinism, unsafe audit, lock order, no-alloc, hermeticity)"
 # Hard gate: any finding that survives lint.allow fails CI. The < 1 s
 # budget is asserted by crates/fgcs-lint/tests/workspace_clean.rs.

@@ -63,13 +63,12 @@ pub use predictor::{
     TrPrediction, WindowEvaluation,
 };
 pub use registry::{
-    IngestAck, IngestRecord, RegistryConfig, RegistryError, RegistryStats, ShardSession,
-    ShardedRegistry,
+    IngestAck, RegistryConfig, RegistryError, RegistryStats, ShardSession, ShardedRegistry,
 };
 pub use robust::{PredictionQuality, QualifiedTr, RobustPredictor, DEFAULT_PRIOR_TR};
 pub use smp::{
-    CompactSolver, DenseSolver, FastSolver, IncrementalEstimator, IntervalProbs, MarkovChain,
-    SmpParams, SojournAccumulator, SolveScratch, SparseSolver,
+    DenseSolver, FastSolver, IncrementalEstimator, IntervalProbs, MarkovChain, SmpParams,
+    SojournAccumulator, SolveScratch, SparseSolver,
 };
 pub use state::State;
 pub use window::{DayType, TimeWindow, SECS_PER_DAY};

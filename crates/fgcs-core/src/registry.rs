@@ -10,7 +10,8 @@
 //! * its hosts' [`HistoryStore`]s plus their per-coordinate
 //!   [`IncrementalEstimator`]s,
 //! * a per-shard [`QhCache`] memoizing built kernels, and
-//! * an append-only ingest log ([`IngestRecord`]) for replay and audit,
+//! * a count of the days it has ingested (with durability on, the WAL
+//!   below is the log of those days),
 //!
 //! so operations on different shards never contend, and operations on the
 //! same shard contend only on that shard's mutex.
@@ -176,17 +177,6 @@ impl From<io::Error> for RegistryError {
     }
 }
 
-/// One entry of a shard's append-only ingest log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestRecord {
-    /// The host the day was appended to.
-    pub host: u64,
-    /// The appended day's calendar index.
-    pub day_index: usize,
-    /// Number of samples the day carried.
-    pub samples: usize,
-}
-
 /// Acknowledgement of a successful ingest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestAck {
@@ -207,7 +197,7 @@ pub struct RegistryStats {
     pub hosts: usize,
     /// Total stored days across all hosts.
     pub days: usize,
-    /// Total append-only log records (equals total successful ingests).
+    /// Total successful ingests, recovery replays included.
     pub log_records: usize,
     /// Kernel interns that found an existing canonical kernel (cross-host
     /// sharing events).
@@ -245,7 +235,8 @@ struct Shard {
     index: usize,
     hosts: HashMap<u64, HostEntry>,
     qh: QhCache,
-    log: Vec<IngestRecord>,
+    /// Days ingested into this shard (recovery replays included).
+    ingested: u64,
     /// Write-ahead log for this shard (`None` when not durable).
     wal: Option<WalWriter>,
     /// Reusable WAL record serialization buffer (no allocation on the
@@ -265,7 +256,7 @@ impl Shard {
             index,
             hosts: HashMap::new(),
             qh: QhCache::with_dedup(qh_capacity, Arc::clone(dedup)),
-            log: Vec::new(),
+            ingested: 0,
             wal: None,
             wal_buf: JsonWriter::new(),
             snap_path: None,
@@ -455,11 +446,7 @@ impl ShardedRegistry {
             est.sync(&entry.history);
         }
         let days = entry.history.len();
-        shard.log.push(IngestRecord {
-            host,
-            day_index: idx,
-            samples,
-        });
+        shard.ingested += 1;
         fgcs_runtime::counter_add!("core.registry.ingested_days", 1);
         fgcs_runtime::counter_add!("core.registry.ingested_samples", samples as u64);
         if write_wal
@@ -627,15 +614,6 @@ impl ShardedRegistry {
             .map(|e| e.history.len())
     }
 
-    /// A copy of one shard's append-only ingest log.
-    ///
-    /// # Panics
-    /// Panics when `shard` is out of range.
-    #[must_use]
-    pub fn shard_log(&self, shard: usize) -> Vec<IngestRecord> {
-        self.lock(shard).log.clone()
-    }
-
     /// Aggregate counters across all shards.
     #[must_use]
     pub fn stats(&self) -> RegistryStats {
@@ -659,7 +637,7 @@ impl ShardedRegistry {
             let guard = self.lock(i);
             stats.hosts += guard.hosts.len();
             stats.days += guard.hosts.values().map(|e| e.history.len()).sum::<usize>();
-            stats.log_records += guard.log.len();
+            stats.log_records += guard.ingested as usize;
             if let Some(wal) = &guard.wal {
                 stats.durable = true;
                 stats.wal_records += wal.records();
@@ -1389,7 +1367,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_logs_account_for_every_ingest() {
+    fn stats_account_for_every_ingest() {
         let reg = ShardedRegistry::new(config(3));
         for h in 0..5u64 {
             for d in 0..4 {
@@ -1401,13 +1379,6 @@ mod tests {
         assert_eq!(stats.hosts, 5);
         assert_eq!(stats.days, 20);
         assert_eq!(stats.log_records, 20);
-        let mut seen = 0;
-        for s in 0..reg.shard_count() {
-            let log = reg.shard_log(s);
-            assert!(log.iter().all(|r| r.samples == 50));
-            seen += log.len();
-        }
-        assert_eq!(seen, 20);
     }
 
     #[test]

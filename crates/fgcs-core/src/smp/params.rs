@@ -132,8 +132,9 @@ impl SolverKernel {
         &self.direct_prefix[source_idx]
     }
 
-    /// Total number of nonzero kernel entries.
-    #[must_use]
+    /// Total number of nonzero kernel entries (the `nnz` in the solver's
+    /// O(steps · nnz) cost).
+    #[cfg(test)]
     pub(crate) fn nnz(&self) -> usize {
         self.trans.iter().map(Vec::len).sum::<usize>()
             + self

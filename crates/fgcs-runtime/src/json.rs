@@ -37,6 +37,16 @@ impl JsonError {
     pub fn in_field(self, name: &str) -> JsonError {
         JsonError(format!("{name}: {}", self.0))
     }
+
+    /// The error of looking up field `name` in `doc`, a document that is
+    /// not an object.
+    #[must_use]
+    pub fn not_an_object(name: &str, doc: &Json) -> JsonError {
+        JsonError::new(format!(
+            "expected object with field `{name}`, found {}",
+            doc.kind()
+        ))
+    }
 }
 
 /// A JSON document: the usual six shapes, with integers kept exact.
@@ -98,10 +108,7 @@ impl Json {
                 .find(|(k, _)| k == name)
                 .map(|(_, v)| v)
                 .ok_or_else(|| JsonError::new(format!("missing field `{name}`"))),
-            other => Err(JsonError::new(format!(
-                "expected object with field `{name}`, found {}",
-                other.kind()
-            ))),
+            other => Err(JsonError::not_an_object(name, other)),
         }
     }
 
@@ -122,10 +129,7 @@ impl Json {
                 None | Some((_, Json::Null)) => Ok(None),
                 Some((_, v)) => T::from_json(v).map(Some).map_err(|e| e.in_field(name)),
             },
-            other => Err(JsonError::new(format!(
-                "expected object with field `{name}`, found {}",
-                other.kind()
-            ))),
+            other => Err(JsonError::not_an_object(name, other)),
         }
     }
 
@@ -349,41 +353,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(code)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 already advanced past the digits
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
-                    self.pos += 1;
+                    unescape(self.bytes, &mut self.pos, &mut out).map_err(|m| self.err(m))?;
                 }
                 Some(c) if c < 0x20 => {
                     return Err(self.err("control character in string"));
@@ -402,18 +372,6 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ascii in \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
-        Ok(v)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -446,6 +404,63 @@ impl<'a> Parser<'a> {
             .map(Json::F64)
             .map_err(|_| JsonError::new(format!("invalid number `{text}` at byte {start}")))
     }
+}
+
+/// Decodes the escape sequence whose `\` sits just before `bytes[*pos]`,
+/// appending the character to `out` and advancing `*pos` past the
+/// sequence. On error `*pos` is the byte [`Json::parse`] reports. Both the
+/// tree parser and [`JsonSlice::scan_in`] decode through here, so they
+/// accept exactly the same escapes: `\" \\ \/ \b \f \n \r \t \uXXXX`, with
+/// a high surrogate only as the first half of a `\uXXXX\uXXXX` pair.
+fn unescape(bytes: &[u8], pos: &mut usize, out: &mut String) -> Result<(), &'static str> {
+    let c = match bytes.get(*pos) {
+        Some(b'"') => '"',
+        Some(b'\\') => '\\',
+        Some(b'/') => '/',
+        Some(b'n') => '\n',
+        Some(b't') => '\t',
+        Some(b'r') => '\r',
+        Some(b'b') => '\u{08}',
+        Some(b'f') => '\u{0C}',
+        Some(b'u') => {
+            *pos += 1;
+            let hi = hex4(bytes, pos)?;
+            let c = if (0xD800..0xDC00).contains(&hi) {
+                // Surrogate pair: require the low half.
+                if !bytes[*pos..].starts_with(b"\\u") {
+                    return Err("unpaired high surrogate");
+                }
+                *pos += 2;
+                let lo = hex4(bytes, pos)?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Err("invalid low surrogate");
+                }
+                char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
+                    .ok_or("invalid surrogate pair")?
+            } else {
+                char::from_u32(hi).ok_or("invalid \\u escape")?
+            };
+            out.push(c);
+            return Ok(()); // hex4 already advanced past the digits
+        }
+        _ => return Err("invalid escape sequence"),
+    };
+    out.push(c);
+    *pos += 1;
+    Ok(())
+}
+
+/// The four hex digits of a `\u` escape at `bytes[*pos..]`; advances
+/// `*pos` past them only on success.
+fn hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, &'static str> {
+    let end = *pos + 4;
+    if end > bytes.len() {
+        return Err("truncated \\u escape");
+    }
+    let hex = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| "non-ascii in \\u escape")?;
+    let v = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+    *pos = end;
+    Ok(v)
 }
 
 /// Conversion into a [`Json`] value.
@@ -706,26 +721,74 @@ macro_rules! impl_json_enum {
     };
 }
 
-/// A borrowed, zero-copy view over one JSON **object** in a `&str` line.
+/// A borrowed view over one JSON **object** in a `&str` line.
 ///
-/// This is the serve hot path's request parser: where [`Json::parse`]
-/// builds a heap tree (a `String` per key and string value, a `Vec` per
-/// container), `JsonSlice::scan` only *validates* the text and hands out
-/// `&str` slices into the original line on demand. Field lookups rescan
-/// the object — requests are a handful of fields, so the rescan is cheaper
-/// than materializing a map — and typed getters reproduce the exact
-/// coercion rules (and error texts) of [`Json::get`].
+/// This is the serve request parser: where [`Json::parse`] builds a heap
+/// tree (a `String` per key and string value, a `Vec` per container),
+/// `JsonSlice` only *validates* the text and hands out `&str` slices into
+/// the original line on demand. Field lookups rescan the object —
+/// requests are a handful of fields, so the rescan is cheaper than
+/// materializing a map — and typed getters reproduce the exact coercion
+/// rules (and error texts) of [`Json::get`].
 ///
-/// Scope: `scan` returns `None` whenever the fast path cannot represent
-/// the document *identically* to the tree parser — malformed syntax, a
-/// non-object top level, or any `\` escape inside any string (an escaped
-/// string cannot be borrowed). Callers fall back to [`Json::parse`] in
-/// that case, so the cold path keeps the tree parser's exact semantics
-/// and error messages.
+/// [`scan_in`](JsonSlice::scan_in) accepts exactly the texts that
+/// [`Json::parse`] parses into an object. A key or string holding an
+/// escape cannot be borrowed from the line, so it is decoded into a
+/// caller-owned [`JsonArena`], and the getters hand out the decoded text;
+/// an escape-free line leaves the arena empty and unallocated.
+/// [`scan`](JsonSlice::scan) needs no arena and rejects any line with an
+/// escape. Both return `None` for malformed syntax and for a non-object
+/// top level; a caller that must name the error asks [`Json::parse`].
 #[derive(Debug, Clone, Copy)]
 pub struct JsonSlice<'a> {
     /// The full object text, trimmed: `src[0] == '{'`.
     src: &'a str,
+    /// Decoded text of the escaped keys and strings inside `src`.
+    arena: &'a JsonArena,
+}
+
+/// Caller-owned storage for the keys and strings that
+/// [`JsonSlice::scan_in`] unescapes.
+///
+/// [`new`](JsonArena::new) allocates nothing, and the arena grows only
+/// when a scanned line contains an escape; one arena reused across lines
+/// keeps its capacity.
+#[derive(Debug, Default)]
+pub struct JsonArena {
+    /// Decoded text of every escaped string of the last scan, back to back.
+    text: String,
+    /// One entry per escaped string, in line order: the address of its raw
+    /// content in the scanned line, and its range in `text`.
+    spans: Vec<(usize, usize, usize)>,
+}
+
+/// The arena of views that hold no decoded strings.
+static NO_ESCAPES: JsonArena = JsonArena::new();
+
+impl JsonArena {
+    /// An empty arena; allocates nothing.
+    #[must_use]
+    pub const fn new() -> JsonArena {
+        JsonArena {
+            text: String::new(),
+            spans: Vec::new(),
+        }
+    }
+
+    /// The text of the string whose raw content (between its quotes) is
+    /// `raw`: the decoded form when it held an escape, else `raw` itself.
+    fn resolve<'a>(&'a self, raw: &'a str) -> &'a str {
+        if self.spans.is_empty() {
+            return raw;
+        }
+        match self
+            .spans
+            .binary_search_by_key(&(raw.as_ptr() as usize), |span| span.0)
+        {
+            Ok(k) => &self.text[self.spans[k].1..self.spans[k].2],
+            Err(_) => raw,
+        }
+    }
 }
 
 /// A field-access error from [`JsonSlice`]: carries only borrowed names,
@@ -751,8 +814,8 @@ pub enum SliceError<'a> {
 
 impl fmt::Display for SliceError<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Mirrors `JsonError`'s Display (`json error: …`) so fast-path and
-        // tree-path error replies are byte-identical.
+        // Mirrors `JsonError`'s Display (`json error: …`) so slice and
+        // tree error texts are byte-identical.
         match self {
             SliceError::Missing { field } => write!(f, "json error: missing field `{field}`"),
             SliceError::Type { field, want, found } => {
@@ -775,17 +838,38 @@ fn raw_kind(raw: &str) -> &'static str {
     }
 }
 
+/// What [`Scan::string`] does at a `\`.
+enum Escapes<'s> {
+    /// Refuse the document ([`JsonSlice::scan`]).
+    Reject,
+    /// Validate the string and decode it into the arena
+    /// ([`JsonSlice::scan_in`]).
+    Decode(&'s mut JsonArena),
+    /// Step over the escape: an earlier scan validated the text.
+    Skip,
+}
+
 /// Validating scanner over the raw bytes: checks JSON syntax without
-/// building values, rejecting (`None`) anything outside the borrowed
-/// fast path's scope. Mirrors `Parser`'s grammar, including its lax
-/// number scan backed by an `f64` parse.
-struct Scan<'a> {
+/// building values, returning `None` for anything [`Json::parse`] rejects
+/// (and, under [`Escapes::Reject`], for any escape). Mirrors `Parser`'s
+/// grammar, including its lax number scan backed by an `f64` parse.
+struct Scan<'a, 's> {
     b: &'a [u8],
     i: usize,
     depth: usize,
+    escapes: Escapes<'s>,
 }
 
-impl<'a> Scan<'a> {
+impl<'a, 's> Scan<'a, 's> {
+    fn new(text: &'a str, i: usize, escapes: Escapes<'s>) -> Scan<'a, 's> {
+        Scan {
+            b: text.as_bytes(),
+            i,
+            depth: 0,
+            escapes,
+        }
+    }
+
     fn peek(&self) -> Option<u8> {
         self.b.get(self.i).copied()
     }
@@ -796,8 +880,25 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// Validates one string, rejecting any escape (the borrowed view
-    /// cannot decode them). Returns the content slice between the quotes.
+    /// Validates the whole text as one object (surrounding whitespace
+    /// allowed) and returns the object's raw slice.
+    fn object(mut self) -> Option<&'a str> {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            return None;
+        }
+        let raw = self.value()?;
+        self.skip_ws();
+        (self.i == self.b.len()).then_some(raw)
+    }
+
+    /// Validates one string and returns its raw content between the
+    /// quotes; an escape is refused, decoded or stepped over per
+    /// `escapes`.
+    ///
+    /// Forced inline: left out of line, as the compiler chose it once
+    /// `decode` existed, it made request parsing about 15 % slower.
+    #[inline(always)]
     fn string(&mut self) -> Option<&'a str> {
         if self.peek() != Some(b'"') {
             return None;
@@ -811,15 +912,53 @@ impl<'a> Scan<'a> {
                     self.i += 1;
                     // SAFETY: `b` is the byte view of the input `&str`, and
                     // both slice bounds sit just inside ASCII `"` bytes —
-                    // escape-free string content between two char
-                    // boundaries, hence valid UTF-8.
+                    // string content between two char boundaries, hence
+                    // valid UTF-8.
                     return Some(unsafe { std::str::from_utf8_unchecked(s) });
                 }
-                b'\\' => return None,
+                b'\\' if matches!(self.escapes, Escapes::Skip) => self.i += 2,
+                b'\\' => self.decode(start)?,
                 c if c < 0x20 => return None,
                 _ => self.i += 1,
             }
         }
+    }
+
+    /// Decodes the string whose content starts at `start`, and whose first
+    /// escape is at `i`, into the arena; stops at the closing quote. Cold:
+    /// escapes are rare, and this keeps the hot [`string`](Scan::string)
+    /// loop small.
+    #[cold]
+    #[inline(never)]
+    fn decode(&mut self, start: usize) -> Option<()> {
+        let Escapes::Decode(arena) = &mut self.escapes else {
+            return None;
+        };
+        let from = arena.text.len();
+        // Escape-free runs lie between ASCII bytes of the input `&str`, so
+        // the UTF-8 checks below never fail.
+        let mut run = start;
+        loop {
+            match *self.b.get(self.i)? {
+                b'"' => break,
+                b'\\' => {
+                    arena
+                        .text
+                        .push_str(std::str::from_utf8(&self.b[run..self.i]).ok()?);
+                    self.i += 1;
+                    unescape(self.b, &mut self.i, &mut arena.text).ok()?;
+                    run = self.i;
+                }
+                c if c < 0x20 => return None,
+                _ => self.i += 1,
+            }
+        }
+        arena
+            .text
+            .push_str(std::str::from_utf8(&self.b[run..self.i]).ok()?);
+        let key = self.b[start..].as_ptr() as usize;
+        arena.spans.push((key, from, arena.text.len()));
+        Some(())
     }
 
     /// Validates one value and returns its raw trimmed slice.
@@ -926,45 +1065,32 @@ impl<'a> Scan<'a> {
 
 impl<'a> JsonSlice<'a> {
     /// Validates `text` as a single escape-free JSON object and returns the
-    /// borrowed view, or `None` when the caller must fall back to
-    /// [`Json::parse`].
+    /// borrowed view; `None` for malformed syntax, a non-object top level,
+    /// or any escape.
     #[must_use]
     pub fn scan(text: &'a str) -> Option<JsonSlice<'a>> {
-        let mut s = Scan {
-            b: text.as_bytes(),
-            i: 0,
-            depth: 0,
-        };
-        s.skip_ws();
-        let start = s.i;
-        if s.peek() != Some(b'{') {
-            return None;
-        }
-        let raw = s.value()?;
-        s.skip_ws();
-        if s.i != s.b.len() {
-            return None;
-        }
-        let _ = start;
-        Some(JsonSlice { src: raw })
+        let src = Scan::new(text, 0, Escapes::Reject).object()?;
+        Some(JsonSlice {
+            src,
+            arena: &NO_ESCAPES,
+        })
     }
 
-    /// Wraps a raw object slice already validated by an enclosing
-    /// [`scan`](JsonSlice::scan) (e.g. an element of [`array`]).
-    ///
-    /// [`array`]: JsonSlice::array
-    fn from_validated(raw: &'a str) -> Option<JsonSlice<'a>> {
-        raw.starts_with('{').then_some(JsonSlice { src: raw })
+    /// Validates `text` as a single JSON object, decoding every escaped
+    /// key and string into `arena` (cleared first). Returns `None` exactly
+    /// when [`Json::parse`] fails or yields a non-object.
+    #[must_use]
+    pub fn scan_in(text: &'a str, arena: &'a mut JsonArena) -> Option<JsonSlice<'a>> {
+        arena.text.clear();
+        arena.spans.clear();
+        let src = Scan::new(text, 0, Escapes::Decode(&mut *arena)).object()?;
+        Some(JsonSlice { src, arena })
     }
 
     /// The first value stored under `name`, as its raw text slice.
     #[must_use]
     pub fn get_raw(&self, name: &str) -> Option<&'a str> {
-        let mut s = Scan {
-            b: self.src.as_bytes(),
-            i: 1, // past '{'
-            depth: 0,
-        };
+        let mut s = Scan::new(self.src, 1, Escapes::Skip); // past '{'
         s.skip_ws();
         if s.peek() == Some(b'}') {
             return None;
@@ -976,7 +1102,7 @@ impl<'a> JsonSlice<'a> {
             s.i += 1; // ':' (validated by scan)
             s.skip_ws();
             let value = s.value()?;
-            if key == name {
+            if self.arena.resolve(key) == name {
                 return Some(value);
             }
             s.skip_ws();
@@ -987,14 +1113,14 @@ impl<'a> JsonSlice<'a> {
         }
     }
 
-    /// Borrowed string field (exact [`Json::get::<String>`] semantics; the
-    /// scan already guaranteed the content is escape-free).
+    /// String field (exact [`Json::get::<String>`] semantics), borrowed
+    /// from the line or, when escaped, from the arena.
     pub fn get_str(&self, name: &'a str) -> Result<&'a str, SliceError<'a>> {
         let raw = self
             .get_raw(name)
             .ok_or(SliceError::Missing { field: name })?;
         if raw.starts_with('"') {
-            Ok(&raw[1..raw.len() - 1])
+            Ok(self.arena.resolve(&raw[1..raw.len() - 1]))
         } else {
             Err(SliceError::Type {
                 field: name,
@@ -1009,7 +1135,9 @@ impl<'a> JsonSlice<'a> {
         match self.get_raw(name) {
             None => Ok(None),
             Some("null") => Ok(None),
-            Some(raw) if raw.starts_with('"') => Ok(Some(&raw[1..raw.len() - 1])),
+            Some(raw) if raw.starts_with('"') => {
+                Ok(Some(self.arena.resolve(&raw[1..raw.len() - 1])))
+            }
             Some(raw) => Err(SliceError::Type {
                 field: name,
                 want: "string",
@@ -1017,7 +1145,6 @@ impl<'a> JsonSlice<'a> {
             }),
         }
     }
-
     /// Numeric field as `f64` (exact [`Json::get::<f64>`] coercions).
     pub fn get_f64(&self, name: &'a str) -> Result<f64, SliceError<'a>> {
         let raw = self
@@ -1071,11 +1198,28 @@ impl<'a> JsonSlice<'a> {
         }
     }
 
-    /// An element of [`array`](JsonSlice::array) as a nested object view,
-    /// or `None` when the element is not an object.
+    /// An element of this view's [`array`](JsonSlice::array) as a nested
+    /// object view that shares this view's decoded strings, or `None` when
+    /// the element is not an object.
+    #[must_use]
+    pub fn nested(&self, raw: &'a str) -> Option<JsonSlice<'a>> {
+        raw.starts_with('{').then_some(JsonSlice {
+            src: raw,
+            arena: self.arena,
+        })
+    }
+
+    /// An element of an array of a [`scan`](JsonSlice::scan) view as a
+    /// nested object view, or `None` when the element is not an object.
+    /// Elements of a [`scan_in`](JsonSlice::scan_in) view go through
+    /// [`nested`](JsonSlice::nested), which also sees their decoded
+    /// strings.
     #[must_use]
     pub fn element_object(raw: &'a str) -> Option<JsonSlice<'a>> {
-        JsonSlice::from_validated(raw)
+        raw.starts_with('{').then_some(JsonSlice {
+            src: raw,
+            arena: &NO_ESCAPES,
+        })
     }
 }
 
@@ -1090,11 +1234,7 @@ impl<'a> Iterator for JsonSliceArray<'a> {
     type Item = &'a str;
 
     fn next(&mut self) -> Option<&'a str> {
-        let mut s = Scan {
-            b: self.src.as_bytes(),
-            i: self.pos,
-            depth: 0,
-        };
+        let mut s = Scan::new(self.src, self.pos, Escapes::Skip);
         s.skip_ws();
         match s.peek()? {
             b']' => return None,
@@ -1116,7 +1256,12 @@ fn parse_raw_f64(raw: &str) -> Option<f64> {
     if first != b'-' && !first.is_ascii_digit() {
         return None;
     }
-    raw.parse::<f64>().ok()
+    let v = raw.parse::<f64>().ok()?;
+    // Integer text is an exact integer to the tree parser, so `-0` is 0.0.
+    if v == 0.0 && !raw.contains(['.', 'e', 'E']) {
+        return Some(0.0);
+    }
+    Some(v)
 }
 
 /// `u64` from a raw number slice, mirroring `as_u64` over parsed numbers:
@@ -1293,6 +1438,7 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check, ensure, CaseResult, Gen};
 
     #[test]
     fn get_opt_missing_null_present_malformed() {
@@ -1564,6 +1710,242 @@ mod tests {
             not_array.array("ops").unwrap_err().to_string(),
             "json error: ops: expected array, found number"
         );
+    }
+
+    #[test]
+    fn scan_in_decodes_escapes_into_the_arena() {
+        let mut arena = JsonArena::new();
+        let plain = r#"{"op":"ping","init":"S1"}"#;
+        let s = JsonSlice::scan_in(plain, &mut arena).expect("plain object");
+        assert_eq!(s.get_str("init"), Ok("S1"));
+        assert_eq!(arena.text.capacity(), 0, "escape-free lines never allocate");
+        assert_eq!(arena.spans.capacity(), 0);
+
+        let line = r#"{"op":"p\"x","ops":[{"init":"S1"}],"s":"🦀\/"}"#;
+        let s = JsonSlice::scan_in(line, &mut arena).expect("escaped object");
+        assert_eq!(s.get_str("op"), Ok("p\"x"));
+        assert_eq!(s.get_opt_str("s"), Ok(Some("🦀/")));
+        let el = s.array("ops").unwrap().next().unwrap();
+        assert_eq!(s.nested(el).unwrap().get_str("init"), Ok("S1"));
+        assert!(JsonSlice::scan(line).is_none());
+    }
+
+    /// Strings for the property below: plain, escaped, and (in
+    /// `BAD_STRINGS`) bad escapes, lone surrogates and raw control
+    /// characters.
+    const STRINGS: &[&str] = &[
+        r#""op""#,
+        r#""host""#,
+        r#""\u006fp""#,
+        r#""h\u006fst""#,
+        r#""a\"b""#,
+        r#""back\\slash""#,
+        r#""\/\b\f\n\r\t""#,
+        r#""\ud83e\udd80""#,
+        r#""é🦀""#,
+        r#""""#,
+        r#""\u0000""#,
+        r#""\u+041""#,
+    ];
+
+    const BAD_STRINGS: &[&str] = &[
+        r#""\q""#,
+        r#""\ud83e""#,
+        r#""\udd80""#,
+        r#""\ud83e\u0041""#,
+        r#""\ud83ex""#,
+        r#""\u12""#,
+        r#""\uzzzz""#,
+        "\"tab\there\"",
+        "\"\u{1}\"",
+        r#""open\"#,
+    ];
+
+    fn push_string(g: &mut Gen, out: &mut String) {
+        let pool = if g.bool_with(0.03) {
+            BAD_STRINGS
+        } else {
+            STRINGS
+        };
+        out.push_str(g.pick::<&str>(pool));
+    }
+
+    const SCALARS: &[&str] = &[
+        "7",
+        "-1",
+        "-0",
+        "1.5",
+        "1e3",
+        "1.0e+2",
+        "9007199254740992",
+        "18446744073709551616",
+        "1e",
+        "--1",
+        "true",
+        "false",
+        "null",
+        "nul",
+    ];
+
+    fn push_ws(g: &mut Gen, out: &mut String) {
+        if g.bool_with(0.2) {
+            out.push(*g.pick(&[' ', '\n', '\t', '\r']));
+        }
+    }
+
+    fn push_value(g: &mut Gen, out: &mut String, depth: usize) {
+        match g.usize_in(0, if depth < 3 { 7 } else { 3 }) {
+            0 => out.push_str(g.pick::<&str>(SCALARS)),
+            1 | 2 => push_string(g, out),
+            3 | 4 => {
+                out.push('[');
+                for k in 0..g.usize_in(0, 4) {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    push_ws(g, out);
+                    push_value(g, out, depth + 1);
+                }
+                out.push(']');
+            }
+            5 => push_object(g, out, depth + 1),
+            _ => {
+                // Nesting on both sides of the depth limit.
+                let n = g.usize_in(MAX_DEPTH - 3, MAX_DEPTH + 2);
+                out.push_str(&"[".repeat(n));
+                out.push_str(&"]".repeat(n));
+            }
+        }
+    }
+
+    fn push_object(g: &mut Gen, out: &mut String, depth: usize) {
+        out.push('{');
+        for k in 0..g.usize_in(0, 5) {
+            if k > 0 {
+                out.push(',');
+            }
+            push_ws(g, out);
+            push_string(g, out);
+            push_ws(g, out);
+            out.push(':');
+            push_value(g, out, depth);
+            push_ws(g, out);
+        }
+        out.push('}');
+    }
+
+    /// A request-like document, sometimes with a non-object top level, a
+    /// truncation or a stray character.
+    fn random_doc(g: &mut Gen) -> String {
+        let mut out = String::new();
+        push_ws(g, &mut out);
+        if g.bool_with(0.1) {
+            push_value(g, &mut out, 0);
+        } else {
+            push_object(g, &mut out, 0);
+        }
+        push_ws(g, &mut out);
+        let mut at = g.usize_in(0, out.len() + 1);
+        while !out.is_char_boundary(at) {
+            at -= 1;
+        }
+        match g.usize_in(0, 10) {
+            0 => out.truncate(at),
+            1 => out.insert(at, *g.pick(&['"', '\\', '\t', '{', '}', ',', ':', 'é'])),
+            _ => {}
+        }
+        out
+    }
+
+    /// Every getter of `s` agrees with `Json::get` on `doc`, recursively
+    /// through array elements.
+    fn same_fields(s: &JsonSlice<'_>, doc: &Json) -> CaseResult {
+        let Json::Obj(pairs) = doc else {
+            return Err(format!("not an object: {doc}"));
+        };
+        let names = pairs.iter().map(|(k, _)| k.as_str()).chain(["absent"]);
+        for name in names {
+            let err = |e: &dyn fmt::Display| e.to_string();
+            let agree = |what: &str, slice: String, tree: String| {
+                ensure(
+                    slice == tree,
+                    format!("{what}({name:?}): {slice} vs {tree}"),
+                )
+            };
+            agree(
+                "get_str",
+                format!("{:?}", s.get_str(name).map_err(|e| err(&e))),
+                format!("{:?}", doc.get::<String>(name).map_err(|e| err(&e))),
+            )?;
+            agree(
+                "get_opt_str",
+                format!("{:?}", s.get_opt_str(name).map_err(|e| err(&e))),
+                format!("{:?}", doc.get_opt::<String>(name).map_err(|e| err(&e))),
+            )?;
+            agree(
+                "get_f64",
+                format!("{:?}", s.get_f64(name).map_err(|e| err(&e))),
+                format!("{:?}", doc.get::<f64>(name).map_err(|e| err(&e))),
+            )?;
+            agree(
+                "get_u64",
+                format!("{:?}", s.get_u64(name).map_err(|e| err(&e))),
+                format!("{:?}", doc.get::<u64>(name).map_err(|e| err(&e))),
+            )?;
+            agree(
+                "get_opt_u64",
+                format!("{:?}", s.get_opt_u64(name).map_err(|e| err(&e))),
+                format!("{:?}", doc.get_opt::<u64>(name).map_err(|e| err(&e))),
+            )?;
+            let slice_arr = s.array(name).map_err(|e| err(&e));
+            let tree_arr = doc.get::<Vec<Json>>(name).map_err(|e| err(&e));
+            match (slice_arr, tree_arr) {
+                (Ok(raws), Ok(items)) => {
+                    let raws: Vec<&str> = raws.collect();
+                    ensure(raws.len() == items.len(), format!("array({name:?}) length"))?;
+                    for (raw, item) in raws.iter().zip(&items) {
+                        ensure(
+                            Json::parse(raw).as_ref() == Ok(item),
+                            format!("array({name:?}) element {raw}"),
+                        )?;
+                        match s.nested(raw) {
+                            Some(el) => same_fields(&el, item)?,
+                            None => ensure(
+                                !matches!(item, Json::Obj(_)),
+                                format!("nested({raw}) refused an object"),
+                            )?,
+                        }
+                    }
+                }
+                (slice, tree) => agree(
+                    "array",
+                    format!("{:?}", slice.map(|_| ())),
+                    format!("{:?}", tree.map(|_| ())),
+                )?,
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn scan_in_accepts_exactly_the_objects_the_tree_parser_accepts() {
+        check("scan_in_matches_json_parse", 2000, |g| {
+            let text = random_doc(g);
+            let mut arena = JsonArena::new();
+            match (Json::parse(&text), JsonSlice::scan_in(&text, &mut arena)) {
+                (Ok(doc @ Json::Obj(_)), Some(s)) => {
+                    let escape_free = !text.contains('\\');
+                    ensure(
+                        JsonSlice::scan(&text).is_some() == escape_free,
+                        format!("scan disagrees on escapes: {text:?}"),
+                    )?;
+                    same_fields(&s, &doc).map_err(|e| format!("{e}\nin {text:?}"))
+                }
+                (Ok(Json::Obj(_)), None) => Err(format!("scan_in refused an object: {text:?}")),
+                (tree, Some(_)) => Err(format!("scan_in accepted {text:?}; tree: {tree:?}")),
+                (_, None) => Ok(()),
+            }
+        });
     }
 
     // ---- JsonWriter: byte-identical to the tree writer ----

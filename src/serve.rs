@@ -26,17 +26,17 @@
 //!
 //! # Wire-path memory discipline
 //!
-//! The request path is allocation-free once warm. Incoming lines are
-//! scanned in place by [`JsonSlice`] — a borrowed view that never builds a
-//! tree — and replies are appended to a pooled [`JsonWriter`] whose buffer
-//! is cleared (capacity kept) between requests. Lines the borrowed scanner
-//! cannot represent (escapes, non-object top level, malformed syntax) fall
-//! back to the tree parser, which keeps the exact cold-path semantics and
-//! error bytes. Field errors on the fast path are borrowed
-//! ([`SliceError`]) and render their message only when an error reply is
-//! actually written. Both transports reuse one read buffer and one reply
-//! buffer per connection; `stats` reports the high-water marks of both
-//! pools.
+//! The request path is allocation-free once warm. Every line is scanned
+//! in place by [`JsonSlice::scan_in`] — a borrowed view that never builds a
+//! tree and accepts exactly the objects the tree parser accepts. An
+//! escaped key or string is decoded into a per-request [`JsonArena`],
+//! which escape-free lines never allocate. Replies are appended to a
+//! pooled [`JsonWriter`] whose buffer is cleared (capacity kept) between
+//! requests. Field errors are borrowed ([`SliceError`]) and render their
+//! message only when an error reply is actually written. [`Json::parse`]
+//! runs only on a line or batch element the scanner rejected, to name its
+//! error. Both transports reuse one read buffer and one reply buffer per
+//! connection; `stats` reports the high-water marks of both pools.
 //!
 //! # Batch requests
 //!
@@ -88,10 +88,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use fgcs_core::batch::TrCurve;
-use fgcs_core::registry::{IngestAck, RegistryConfig, RegistryError, ShardedRegistry};
+use fgcs_core::registry::{
+    IngestAck, RegistryConfig, RegistryError, ShardSession, ShardedRegistry,
+};
 use fgcs_core::state::State;
 use fgcs_core::window::{DayType, TimeWindow, SECS_PER_DAY};
-use fgcs_runtime::json::{Json, JsonSlice, JsonSliceArray, JsonWriter, SliceError};
+use fgcs_runtime::json::{
+    Json, JsonArena, JsonError, JsonSlice, JsonSliceArray, JsonWriter, SliceError,
+};
 
 /// Configuration for [`Server::new`] / [`Server::open`].
 #[derive(Debug, Clone)]
@@ -200,20 +204,25 @@ pub struct Server {
     oversize_lines: AtomicU64,
 }
 
-/// One request decoded on the borrowed fast path: every field is `Copy` or
-/// borrows from the input line, so decoding allocates nothing.
+/// One decoded request. Every field is `Copy` or borrows from the request
+/// line (or its [`JsonArena`]), except an ingest's decoded states.
 enum Request<'a> {
     Ping,
     Shutdown,
     Stats,
     Health,
-    Host {
-        host: u64,
-    },
+    Host { host: u64 },
+    Shard(ShardOp),
+    Batch(JsonSliceArray<'a>),
+}
+
+/// An op answered under its host's shard lock. An ingest's digits are
+/// decoded while the request is parsed, before any lock is taken.
+enum ShardOp {
     Ingest {
         host: u64,
         day_index: Option<u64>,
-        states: &'a str,
+        states: Vec<State>,
     },
     Predict {
         host: u64,
@@ -228,16 +237,26 @@ enum Request<'a> {
         init: State,
         points: usize,
     },
-    Batch(JsonSliceArray<'a>),
 }
 
-/// A fast-path protocol error. Field-shape errors stay borrowed
-/// ([`SliceError`]); only the validators that already build owned messages
-/// ([`parse_window`] & friends) carry a `String` — and every variant
-/// formats its message only when the error reply is written.
+impl ShardOp {
+    fn host(&self) -> u64 {
+        match *self {
+            ShardOp::Ingest { host, .. }
+            | ShardOp::Predict { host, .. }
+            | ShardOp::Sweep { host, .. } => host,
+        }
+    }
+}
+
+/// A protocol error. Field-shape errors stay borrowed ([`SliceError`]);
+/// only the validators that already build owned messages ([`parse_window`]
+/// & friends) carry a `String` — and every variant formats its message
+/// only when the error reply is written.
 enum WireError<'a> {
     Slice(SliceError<'a>),
     UnknownOp(&'a str),
+    NotInBatch(&'a str),
     Msg(String),
 }
 
@@ -246,6 +265,7 @@ impl fmt::Display for WireError<'_> {
         match self {
             WireError::Slice(e) => e.fmt(f),
             WireError::UnknownOp(op) => write!(f, "unknown op `{op}`"),
+            WireError::NotInBatch(op) => write!(f, "op `{op}` not allowed inside batch"),
             WireError::Msg(m) => f.write_str(m),
         }
     }
@@ -257,53 +277,66 @@ impl<'a> From<SliceError<'a>> for WireError<'a> {
     }
 }
 
-/// Decodes one request object. Field order and error precedence mirror the
-/// tree path exactly, so both paths reply with identical bytes.
-fn parse_request<'a>(s: &JsonSlice<'a>) -> Result<Request<'a>, WireError<'a>> {
+/// Decodes one request object. `op` is resolved before any other field,
+/// and inside a batch the ops that may not nest are refused before their
+/// fields are read.
+fn parse_request<'a>(s: &JsonSlice<'a>, in_batch: bool) -> Result<Request<'a>, WireError<'a>> {
     let op = s.get_str("op")?;
-    match op {
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        "stats" => Ok(Request::Stats),
-        "health" => Ok(Request::Health),
-        "host" => Ok(Request::Host {
-            host: s.get_u64("host")?,
-        }),
-        "ingest" => Ok(Request::Ingest {
-            host: s.get_u64("host")?,
-            day_index: s.get_opt_u64("day_index")?,
-            states: s.get_str("states")?,
-        }),
+    if in_batch && matches!(op, "stats" | "shutdown" | "batch" | "health" | "host") {
+        return Err(WireError::NotInBatch(op));
+    }
+    let shard_op = match op {
+        "ping" => return Ok(Request::Ping),
+        "shutdown" => return Ok(Request::Shutdown),
+        "stats" => return Ok(Request::Stats),
+        "health" => return Ok(Request::Health),
+        "host" => {
+            return Ok(Request::Host {
+                host: s.get_u64("host")?,
+            })
+        }
+        "batch" => return Ok(Request::Batch(s.array("ops")?)),
+        "ingest" => {
+            let host = s.get_u64("host")?;
+            let day_index = s.get_opt_u64("day_index")?;
+            let states = decode_states(s.get_str("states")?).map_err(WireError::Msg)?;
+            ShardOp::Ingest {
+                host,
+                day_index,
+                states,
+            }
+        }
         "predict" => {
             let host = s.get_u64("host")?;
-            let (day_type, window, init) = slice_coords(s)?;
-            Ok(Request::Predict {
+            let (day_type, window, init) = coords(s)?;
+            ShardOp::Predict {
                 host,
                 day_type,
                 window,
                 init,
-            })
+            }
         }
         "sweep" => {
             let host = s.get_u64("host")?;
-            let (day_type, window, init) = slice_coords(s)?;
+            let (day_type, window, init) = coords(s)?;
             let points = s.get_opt_u64("points")?.unwrap_or(12) as usize;
-            Ok(Request::Sweep {
+            ShardOp::Sweep {
                 host,
                 day_type,
                 window,
                 init,
                 points,
-            })
+            }
         }
-        "batch" => Ok(Request::Batch(s.array("ops")?)),
-        other => Err(WireError::UnknownOp(other)),
-    }
+        other => return Err(WireError::UnknownOp(other)),
+    };
+    Ok(Request::Shard(shard_op))
 }
 
-/// Borrowed twin of [`query_coords`]: same fields, same defaults, same
-/// error order.
-fn slice_coords<'a>(s: &JsonSlice<'a>) -> Result<(DayType, TimeWindow, State), WireError<'a>> {
+/// The query coordinates of `predict`/`sweep`: `start`/`hours`
+/// (fractional hours), optional `day_type` (default weekday) and `init`
+/// (default S1).
+fn coords<'a>(s: &JsonSlice<'a>) -> Result<(DayType, TimeWindow, State), WireError<'a>> {
     let start = s.get_f64("start")?;
     let hours = s.get_f64("hours")?;
     let day_type = match s.get_opt_str("day_type")? {
@@ -321,6 +354,66 @@ fn slice_coords<'a>(s: &JsonSlice<'a>) -> Result<(DayType, TimeWindow, State), W
     ))
 }
 
+/// What one op produced, carried out of the shard lock: its reply is
+/// formatted by [`Server::write_answer`] after the lock is released.
+enum Answer<'a> {
+    Ping,
+    Error(WireError<'a>),
+    /// A batch element that is not an object (its raw text).
+    Rejected(&'a str),
+    Ingest(Result<IngestAck, RegistryError>),
+    Predict {
+        host: u64,
+        day_type: DayType,
+        window: TimeWindow,
+        init: State,
+        tr: Result<f64, RegistryError>,
+    },
+    Sweep {
+        day_type: DayType,
+        window: TimeWindow,
+        init: State,
+        points: usize,
+        curve: Result<TrCurve, RegistryError>,
+    },
+}
+
+/// Runs one op under its shard's held lock.
+fn run_op(session: &mut ShardSession<'_>, op: ShardOp) -> Answer<'static> {
+    match op {
+        ShardOp::Ingest {
+            host,
+            day_index,
+            states,
+        } => Answer::Ingest(session.ingest_day(host, day_index.map(|d| d as usize), states)),
+        ShardOp::Predict {
+            host,
+            day_type,
+            window,
+            init,
+        } => Answer::Predict {
+            host,
+            day_type,
+            window,
+            init,
+            tr: session.predict(host, day_type, window, init),
+        },
+        ShardOp::Sweep {
+            host,
+            day_type,
+            window,
+            init,
+            points,
+        } => Answer::Sweep {
+            day_type,
+            window,
+            init,
+            points,
+            curve: session.sweep(host, day_type, window),
+        },
+    }
+}
+
 /// `{"ok":false,"error":…}` with the message rendered straight into the
 /// reply buffer (escaped on the fly, no intermediate `String`).
 // lint: no-alloc
@@ -330,7 +423,17 @@ fn write_error_line(out: &mut JsonWriter, err: &dyn fmt::Display) {
     out.raw("}\n");
 }
 
-/// The `ingest` ack, byte-identical to the tree rendering.
+/// The error reply for a document [`JsonSlice::scan_in`] refused — a
+/// request line or a batch element. The tree parser names it: its syntax
+/// error, or the kind of a document that is not an object.
+fn write_rejected_line(out: &mut JsonWriter, text: &str) {
+    match Json::parse(text) {
+        Err(e) => write_error_line(out, &format_args!("bad request: {e}")),
+        Ok(doc) => write_error_line(out, &JsonError::not_an_object("op", &doc)),
+    }
+}
+
+/// The `ingest` ack.
 // lint: no-alloc
 fn write_ingest_line(out: &mut JsonWriter, ack: &IngestAck) {
     out.raw("{\"ok\":true,\"op\":\"ingest\",\"host\":");
@@ -342,10 +445,10 @@ fn write_ingest_line(out: &mut JsonWriter, ack: &IngestAck) {
     out.raw("}\n");
 }
 
-/// The `predict` reply, byte-identical to the tree rendering. `degraded`
-/// appends the `"quality":"stale"` tag (the shard answered after poison
-/// recovery); a healthy shard's reply bytes are unchanged from before the
-/// hardening, so byte-compare oracles over healthy servers still hold.
+/// The `predict` reply. `degraded` appends the `"quality":"stale"` tag
+/// (the shard answered after poison recovery); a healthy shard's reply
+/// bytes are unchanged from before the hardening, so byte-compare oracles
+/// over healthy servers still hold.
 // lint: no-alloc
 fn write_predict_line(
     out: &mut JsonWriter,
@@ -381,29 +484,6 @@ fn write_host_line(out: &mut JsonWriter, host: u64, days: usize) {
     out.raw(",\"days\":");
     out.u64(days as u64);
     out.raw("}\n");
-}
-
-/// A batch op bound for a shard group, keyed by its slot in the reply
-/// vector.
-enum ShardOp<'a> {
-    Ingest {
-        host: u64,
-        day_index: Option<u64>,
-        states: &'a str,
-    },
-    Predict {
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
-        init: State,
-    },
-    Sweep {
-        host: u64,
-        day_type: DayType,
-        window: TimeWindow,
-        init: State,
-        points: usize,
-    },
 }
 
 impl Server {
@@ -491,10 +571,7 @@ impl Server {
         self.read_hwm
             .fetch_max(line.len() as u64, Ordering::Relaxed);
         let before = out.len();
-        let shutdown = match catch_unwind(AssertUnwindSafe(|| match JsonSlice::scan(line) {
-            Some(slice) => self.dispatch_slice(&slice, out),
-            None => self.dispatch_tree(line, out),
-        })) {
+        let shutdown = match catch_unwind(AssertUnwindSafe(|| self.dispatch(line, out))) {
             Ok(shutdown) => shutdown,
             Err(_) => {
                 self.panics.fetch_add(1, Ordering::Relaxed);
@@ -508,485 +585,166 @@ impl Server {
         shutdown
     }
 
-    /// Fast path: the request parsed as a borrowed slice view.
-    fn dispatch_slice(&self, req: &JsonSlice<'_>, out: &mut JsonWriter) -> bool {
+    /// Scans one request line and answers it. The arena stays unallocated
+    /// unless the line holds an escape.
+    fn dispatch(&self, line: &str, out: &mut JsonWriter) -> bool {
+        let mut arena = JsonArena::new();
+        let Some(req) = JsonSlice::scan_in(line, &mut arena) else {
+            write_rejected_line(out, line);
+            return false;
+        };
         if self.debug_ops && matches!(req.get_str("op"), Ok("debug_panic")) {
             panic!("debug_panic op (containment test hook)");
         }
-        match parse_request(req) {
-            Err(e) => {
-                write_error_line(out, &e);
-                false
-            }
-            Ok(Request::Ping) => {
-                out.raw(PING_LINE);
-                false
-            }
+        match parse_request(&req, false) {
+            Err(e) => write_error_line(out, &e),
+            Ok(Request::Ping) => out.raw(PING_LINE),
             Ok(Request::Shutdown) => {
                 out.raw(SHUTDOWN_LINE);
-                true
+                return true;
             }
             Ok(Request::Stats) => {
                 out.raw(&self.stats_json().to_string());
                 out.raw_char('\n');
-                false
             }
             Ok(Request::Health) => {
                 out.raw(&self.health_json().to_string());
                 out.raw_char('\n');
-                false
             }
-            Ok(Request::Host { host }) => {
-                match self.registry.host_days(host) {
-                    Some(days) => write_host_line(out, host, days),
-                    None => write_error_line(out, &RegistryError::UnknownHost(host)),
-                }
-                false
+            Ok(Request::Host { host }) => match self.registry.host_days(host) {
+                Some(days) => write_host_line(out, host, days),
+                None => write_error_line(out, &RegistryError::UnknownHost(host)),
+            },
+            Ok(Request::Shard(op)) => {
+                let answer = {
+                    let mut session = self.registry.session(self.registry.shard_index(op.host()));
+                    run_op(&mut session, op)
+                };
+                self.write_answer(out, answer);
             }
-            Ok(Request::Ingest {
-                host,
-                day_index,
-                states,
-            }) => {
-                match decode_states(states) {
-                    Err(msg) => write_error_line(out, &msg),
-                    Ok(states) => {
-                        match self
-                            .registry
-                            .ingest_day(host, day_index.map(|d| d as usize), states)
-                        {
-                            Ok(ack) => write_ingest_line(out, &ack),
-                            Err(e) => write_error_line(out, &e),
-                        }
-                    }
-                }
-                false
-            }
-            Ok(Request::Predict {
-                host,
-                day_type,
-                window,
-                init,
-            }) => {
-                match self.registry.predict(host, day_type, window, init) {
-                    Ok(tr) => {
-                        let degraded = self.predict_degraded(host);
-                        write_predict_line(out, host, window, day_type, init, tr, degraded);
-                    }
-                    Err(e) => write_error_line(out, &e),
-                }
-                false
-            }
-            Ok(Request::Sweep {
-                host,
-                day_type,
-                window,
-                init,
-                points,
-            }) => {
-                match self.registry.sweep(host, day_type, window) {
-                    Err(e) => write_error_line(out, &e),
-                    Ok(curve) => match sweep_json(&curve, day_type, window, init, points) {
-                        Ok(doc) => {
-                            out.raw(&doc.to_string());
-                            out.raw_char('\n');
-                        }
-                        Err(msg) => write_error_line(out, &msg),
-                    },
-                }
-                false
-            }
-            Ok(Request::Batch(ops)) => {
-                self.run_batch(ops, out);
-                false
-            }
+            Ok(Request::Batch(ops)) => self.run_batch(&req, ops, out),
         }
+        false
     }
 
-    /// The shard-batched pipeline behind the `batch` op: classify each
-    /// nested op, group the registry-bound ones by shard, take each shard
-    /// lock once, answer `predict` runs against one `(host, day_type,
-    /// window)` from a single curve solve, then emit the replies in
+    /// The shard-batched pipeline behind the `batch` op: parse each nested
+    /// op, group the shard ops by shard, take each shard lock once, answer
+    /// `predict` runs against one `(host, day_type, window)` from a single
+    /// curve solve, then — every lock released — write the replies in
     /// request order.
-    fn run_batch(&self, ops: JsonSliceArray<'_>, out: &mut JsonWriter) {
-        let elements: Vec<&str> = ops.collect();
-        if elements.is_empty() {
+    fn run_batch(&self, req: &JsonSlice<'_>, ops: JsonSliceArray<'_>, out: &mut JsonWriter) {
+        let mut answers: Vec<Option<Answer<'_>>> = Vec::new();
+        let mut sharded: Vec<Vec<(usize, ShardOp)>> = (0..self.registry.shard_count())
+            .map(|_| Vec::new())
+            .collect();
+        for (i, raw) in ops.enumerate() {
+            let answer = match req.nested(raw).map(|el| parse_request(&el, true)) {
+                None => Answer::Rejected(raw),
+                Some(Err(e)) => Answer::Error(e),
+                Some(Ok(Request::Shard(op))) => {
+                    sharded[self.registry.shard_index(op.host())].push((i, op));
+                    answers.push(None);
+                    continue;
+                }
+                Some(Ok(Request::Ping)) => Answer::Ping,
+                Some(Ok(_)) => unreachable!("parse_request refuses nested control ops"),
+            };
+            answers.push(Some(answer));
+        }
+        if answers.is_empty() {
             write_error_line(out, &EMPTY_BATCH);
             return;
         }
-        let mut replies: Vec<String> = vec![String::new(); elements.len()];
-        let mut sharded: Vec<Vec<(usize, ShardOp<'_>)>> = (0..self.registry.shard_count())
-            .map(|_| Vec::new())
-            .collect();
-        let mut scratch = JsonWriter::new();
-        for (i, raw) in elements.iter().enumerate() {
-            let Some(slice) = JsonSlice::element_object(raw) else {
-                // Non-object element: identical handling (and bytes) to
-                // sending it as its own request line.
-                replies[i] = self.tree_element_line(raw);
-                continue;
-            };
-            scratch.clear();
-            // Op gate first — same precedence as the tree path, which
-            // resolves `op` before any other field.
-            let op = match slice.get_str("op") {
-                Ok(op) => op,
-                Err(e) => {
-                    write_error_line(&mut scratch, &e);
-                    replies[i] = scratch.as_str().to_string();
-                    continue;
-                }
-            };
-            if matches!(op, "stats" | "shutdown" | "batch" | "health" | "host") {
-                write_error_line(
-                    &mut scratch,
-                    &format_args!("op `{op}` not allowed inside batch"),
-                );
-                replies[i] = scratch.as_str().to_string();
-                continue;
-            }
-            match parse_request(&slice) {
-                Ok(Request::Ping) => scratch.raw(PING_LINE),
-                Ok(Request::Ingest {
-                    host,
-                    day_index,
-                    states,
-                }) => {
-                    sharded[self.registry.shard_index(host)].push((
-                        i,
-                        ShardOp::Ingest {
-                            host,
-                            day_index,
-                            states,
-                        },
-                    ));
-                    continue;
-                }
-                Ok(Request::Predict {
-                    host,
-                    day_type,
-                    window,
-                    init,
-                }) => {
-                    sharded[self.registry.shard_index(host)].push((
-                        i,
-                        ShardOp::Predict {
-                            host,
-                            day_type,
-                            window,
-                            init,
-                        },
-                    ));
-                    continue;
-                }
-                Ok(Request::Sweep {
-                    host,
-                    day_type,
-                    window,
-                    init,
-                    points,
-                }) => {
-                    sharded[self.registry.shard_index(host)].push((
-                        i,
-                        ShardOp::Sweep {
-                            host,
-                            day_type,
-                            window,
-                            init,
-                            points,
-                        },
-                    ));
-                    continue;
-                }
-                // The op gate above already rejected these.
-                Ok(
-                    Request::Stats
-                    | Request::Shutdown
-                    | Request::Batch(_)
-                    | Request::Health
-                    | Request::Host { .. },
-                ) => write_error_line(
-                    &mut scratch,
-                    &format_args!("op `{op}` not allowed inside batch"),
-                ),
-                Err(e) => write_error_line(&mut scratch, &e),
-            }
-            replies[i] = scratch.as_str().to_string();
-        }
-        for (shard, ops) in sharded.iter().enumerate() {
+        for (shard, ops) in sharded.into_iter().enumerate() {
             if ops.is_empty() {
                 continue;
             }
             let mut session = self.registry.session(shard);
-            let mut k = 0;
-            while k < ops.len() {
-                match &ops[k] {
-                    (
-                        i,
-                        ShardOp::Ingest {
-                            host,
-                            day_index,
-                            states,
-                        },
-                    ) => {
-                        scratch.clear();
-                        match decode_states(states) {
-                            Err(msg) => write_error_line(&mut scratch, &msg),
-                            Ok(states) => {
-                                match session.ingest_day(
-                                    *host,
-                                    day_index.map(|d| d as usize),
-                                    states,
-                                ) {
-                                    Ok(ack) => write_ingest_line(&mut scratch, &ack),
-                                    Err(e) => write_error_line(&mut scratch, &e),
-                                }
-                            }
-                        }
-                        replies[*i] = scratch.as_str().to_string();
-                        k += 1;
+            let mut ops = ops.into_iter().peekable();
+            while let Some((i, op)) = ops.next() {
+                let ShardOp::Predict {
+                    host,
+                    day_type,
+                    window,
+                    init,
+                } = op
+                else {
+                    answers[i] = Some(run_op(&mut session, op));
+                    continue;
+                };
+                // Maximal run of predicts against one coordinate: one curve
+                // solve answers them all, bit-identically to scalar predicts.
+                let mut run = vec![(i, init)];
+                while let Some(&(
+                    j,
+                    ShardOp::Predict {
+                        host: h,
+                        day_type: d,
+                        window: w,
+                        init,
+                    },
+                )) = ops.peek()
+                {
+                    if (h, d, w) != (host, day_type, window) {
+                        break;
                     }
-                    (
-                        i,
-                        ShardOp::Sweep {
-                            host,
-                            day_type,
-                            window,
-                            init,
-                            points,
-                        },
-                    ) => {
-                        scratch.clear();
-                        match session.sweep(*host, *day_type, *window) {
-                            Err(e) => write_error_line(&mut scratch, &e),
-                            Ok(curve) => {
-                                match sweep_json(&curve, *day_type, *window, *init, *points) {
-                                    Ok(doc) => {
-                                        scratch.raw(&doc.to_string());
-                                        scratch.raw_char('\n');
-                                    }
-                                    Err(msg) => write_error_line(&mut scratch, &msg),
-                                }
-                            }
-                        }
-                        replies[*i] = scratch.as_str().to_string();
-                        k += 1;
-                    }
-                    (
-                        i,
-                        ShardOp::Predict {
-                            host,
-                            day_type,
-                            window,
-                            init,
-                        },
-                    ) => {
-                        // Maximal run of predicts against one coordinate:
-                        // one curve solve answers them all, bit-identically
-                        // to scalar predicts.
-                        let (h, dt, w) = (*host, *day_type, *window);
-                        let mut group: Vec<(usize, State)> = vec![(*i, *init)];
-                        let mut end = k + 1;
-                        while end < ops.len() {
-                            match &ops[end] {
-                                (
-                                    j,
-                                    ShardOp::Predict {
-                                        host,
-                                        day_type,
-                                        window,
-                                        init,
-                                    },
-                                ) if *host == h && *day_type == dt && *window == w => {
-                                    group.push((*j, *init));
-                                    end += 1;
-                                }
-                                _ => break,
-                            }
-                        }
-                        let inits: Vec<State> = group.iter().map(|&(_, s)| s).collect();
-                        let results = session.predict_many(h, dt, w, &inits);
-                        for (&(j, init), res) in group.iter().zip(results) {
-                            scratch.clear();
-                            match res {
-                                Ok(tr) => {
-                                    let degraded = self.predict_degraded(h);
-                                    write_predict_line(&mut scratch, h, w, dt, init, tr, degraded);
-                                }
-                                Err(e) => write_error_line(&mut scratch, &e),
-                            }
-                            replies[j] = scratch.as_str().to_string();
-                        }
-                        k = end;
-                    }
+                    run.push((j, init));
+                    ops.next();
+                }
+                let inits: Vec<State> = run.iter().map(|&(_, init)| init).collect();
+                let results = session.predict_many(host, day_type, window, &inits);
+                for (&(j, init), tr) in run.iter().zip(results) {
+                    answers[j] = Some(Answer::Predict {
+                        host,
+                        day_type,
+                        window,
+                        init,
+                        tr,
+                    });
                 }
             }
         }
-        for line in &replies {
-            out.raw(line);
+        for answer in answers {
+            self.write_answer(out, answer.expect("every batch op is answered"));
         }
     }
 
-    /// Tree fallback: full parse, identical semantics and reply bytes.
-    fn dispatch_tree(&self, line: &str, out: &mut JsonWriter) -> bool {
-        let req = match Json::parse(line) {
-            Ok(req) => req,
-            Err(e) => {
-                write_error_line(out, &format_args!("bad request: {e}"));
-                return false;
+    /// Writes one op's reply line — the one formatter single and batched
+    /// requests share.
+    fn write_answer(&self, out: &mut JsonWriter, answer: Answer<'_>) {
+        match answer {
+            Answer::Ping => out.raw(PING_LINE),
+            Answer::Error(e) => write_error_line(out, &e),
+            Answer::Rejected(raw) => write_rejected_line(out, raw),
+            Answer::Ingest(Ok(ack)) => write_ingest_line(out, &ack),
+            Answer::Predict {
+                host,
+                day_type,
+                window,
+                init,
+                tr: Ok(tr),
+            } => {
+                let degraded = self.predict_degraded(host);
+                write_predict_line(out, host, window, day_type, init, tr, degraded);
             }
-        };
-        if let Ok(Json::Str(op)) = req.field("op") {
-            if op == "batch" {
-                self.run_batch_tree(&req, out);
-                return false;
-            }
-        }
-        match self.handle_op_json(&req, false) {
-            Ok((json, shutdown)) => {
-                out.raw(&json.to_string());
-                out.raw_char('\n');
-                shutdown
-            }
-            Err(msg) => {
-                write_error_line(out, &msg);
-                false
-            }
-        }
-    }
-
-    /// `batch` on the tree path: sequential per-element handling (the cold
-    /// path skips shard grouping), same reply bytes as
-    /// [`run_batch`](Server::run_batch).
-    fn run_batch_tree(&self, req: &Json, out: &mut JsonWriter) {
-        let ops = match req.field("ops") {
-            Err(e) => {
-                write_error_line(out, &e);
-                return;
-            }
-            Ok(Json::Arr(ops)) => ops,
-            Ok(other) => {
-                write_error_line(
-                    out,
-                    &format_args!("json error: ops: expected array, found {}", other.kind()),
-                );
-                return;
-            }
-        };
-        if ops.is_empty() {
-            write_error_line(out, &EMPTY_BATCH);
-            return;
-        }
-        for el in ops {
-            match self.handle_op_json(el, true) {
-                Ok((json, _)) => {
-                    out.raw(&json.to_string());
+            // The reply is exactly the `fgcs sweep --json` document, so
+            // serve answers can be byte-compared against the CLI.
+            Answer::Sweep {
+                day_type,
+                window,
+                init,
+                points,
+                curve: Ok(curve),
+            } => match sweep_json(&curve, day_type, window, init, points) {
+                Ok(doc) => {
+                    out.raw(&doc.to_string());
                     out.raw_char('\n');
                 }
                 Err(msg) => write_error_line(out, &msg),
-            }
-        }
-    }
-
-    /// One reply line for a non-object batch element — routed through the
-    /// tree path so the bytes match sending the element standalone.
-    fn tree_element_line(&self, raw: &str) -> String {
-        let mut w = JsonWriter::new();
-        let _ = self.dispatch_tree(raw, &mut w);
-        w.as_str().to_string()
-    }
-
-    /// One parsed (tree) op. `in_batch` rejects the control ops that may
-    /// not nest.
-    fn handle_op_json(&self, req: &Json, in_batch: bool) -> Result<(Json, bool), String> {
-        let op: String = req.get("op").map_err(|e| e.to_string())?;
-        if self.debug_ops && op == "debug_panic" {
-            panic!("debug_panic op (containment test hook)");
-        }
-        if in_batch
-            && matches!(
-                op.as_str(),
-                "stats" | "shutdown" | "batch" | "health" | "host"
-            )
-        {
-            return Err(format!("op `{op}` not allowed inside batch"));
-        }
-        match op.as_str() {
-            "ping" => Ok((ok_reply("ping", vec![]), false)),
-            "shutdown" => Ok((ok_reply("shutdown", vec![]), true)),
-            "stats" => Ok((self.stats_json(), false)),
-            "health" => Ok((self.health_json(), false)),
-            "host" => {
-                let host: u64 = req.get("host").map_err(|e| e.to_string())?;
-                let days = self
-                    .registry
-                    .host_days(host)
-                    .ok_or_else(|| RegistryError::UnknownHost(host).to_string())?;
-                Ok((
-                    ok_reply(
-                        "host",
-                        vec![
-                            ("host".into(), Json::U64(host)),
-                            ("days".into(), Json::U64(days as u64)),
-                        ],
-                    ),
-                    false,
-                ))
-            }
-            "ingest" => {
-                let host: u64 = req.get("host").map_err(|e| e.to_string())?;
-                let day_index: Option<u64> = req.get_opt("day_index").map_err(|e| e.to_string())?;
-                let states: String = req.get("states").map_err(|e| e.to_string())?;
-                let states = decode_states(&states)?;
-                let ack = self
-                    .registry
-                    .ingest_day(host, day_index.map(|d| d as usize), states)
-                    .map_err(|e| e.to_string())?;
-                Ok((
-                    ok_reply(
-                        "ingest",
-                        vec![
-                            ("host".into(), Json::U64(ack.host)),
-                            ("day_index".into(), Json::U64(ack.day_index as u64)),
-                            ("days".into(), Json::U64(ack.days as u64)),
-                        ],
-                    ),
-                    false,
-                ))
-            }
-            "predict" => {
-                let host: u64 = req.get("host").map_err(|e| e.to_string())?;
-                let (day_type, window, init) = query_coords(req)?;
-                let tr = self
-                    .registry
-                    .predict(host, day_type, window, init)
-                    .map_err(|e| e.to_string())?;
-                let mut fields = vec![
-                    ("host".into(), Json::U64(host)),
-                    ("window".into(), Json::Str(window.to_string())),
-                    ("day_type".into(), Json::Str(day_type.to_string())),
-                    ("init".into(), Json::Str(init.to_string())),
-                    ("tr".into(), Json::F64(tr)),
-                ];
-                if self.predict_degraded(host) {
-                    fields.push(("quality".into(), Json::Str("stale".into())));
-                }
-                Ok((ok_reply("predict", fields), false))
-            }
-            "sweep" => {
-                let host: u64 = req.get("host").map_err(|e| e.to_string())?;
-                let (day_type, window, init) = query_coords(req)?;
-                let points: Option<u64> = req.get_opt("points").map_err(|e| e.to_string())?;
-                let points = points.unwrap_or(12) as usize;
-                let curve = self
-                    .registry
-                    .sweep(host, day_type, window)
-                    .map_err(|e| e.to_string())?;
-                // The reply is exactly the `fgcs sweep --json` document so
-                // serve answers can be byte-compared against the CLI.
-                Ok((sweep_json(&curve, day_type, window, init, points)?, false))
-            }
-            other => Err(format!("unknown op `{other}`")),
+            },
+            Answer::Ingest(Err(e))
+            | Answer::Predict { tr: Err(e), .. }
+            | Answer::Sweep { curve: Err(e), .. } => write_error_line(out, &e),
         }
     }
 
@@ -1427,26 +1185,6 @@ pub fn encode_states(states: &[State]) -> String {
         .collect()
 }
 
-/// Shared query-coordinate parsing for `predict`/`sweep` requests:
-/// `start`/`hours` (fractional hours), optional `day_type` (default
-/// weekday) and `init` (default S1).
-fn query_coords(req: &Json) -> Result<(DayType, TimeWindow, State), String> {
-    let start: f64 = req.get("start").map_err(|e| e.to_string())?;
-    let hours: f64 = req.get("hours").map_err(|e| e.to_string())?;
-    let day_type = match req
-        .get_opt::<String>("day_type")
-        .map_err(|e| e.to_string())?
-    {
-        None => DayType::Weekday,
-        Some(s) => parse_day_type(&s)?,
-    };
-    let init = match req.get_opt::<String>("init").map_err(|e| e.to_string())? {
-        None => State::S1,
-        Some(s) => parse_init(&s)?,
-    };
-    Ok((day_type, parse_window(start, hours)?, init))
-}
-
 /// Parses `"weekday"`/`"weekend"` (the [`DayType`] display strings).
 pub fn parse_day_type(s: &str) -> Result<DayType, String> {
     match s {
@@ -1786,26 +1524,96 @@ mod tests {
     }
 
     #[test]
-    fn tree_fallback_replies_match_the_fast_path() {
-        // An escaped `"S1"` forces the escape-free scanner to bail; the
-        // tree path must answer with exactly the bytes of the literal twin.
+    fn escaped_requests_match_their_literal_twins() {
+        // Escaped keys and strings decode into the request's arena, so an
+        // escaped request gets exactly the bytes of its escape-free twin.
         let s = warm_server(3, 4);
-        let fast =
-            s.handle_line(r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":"S1"}"#);
-        let slow = s.handle_line(
-            "{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"init\":\"\\u0053\\u0031\"}",
-        );
-        assert_eq!(fast.line, slow.line);
+        let predict = r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":"S1"}"#;
+        for (literal, escaped) in [
+            // An escaped key.
+            (
+                predict,
+                r#"{"\u006fp":"predict","host":3,"start":9.0,"hours":2.0,"init":"S1"}"#,
+            ),
+            // An escaped `init`.
+            (
+                predict,
+                r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":"\u0053\u0031"}"#,
+            ),
+            // A surrogate pair, in an unknown op and in an ignored field.
+            (r#"{"op":"🦀"}"#, r#"{"op":"\ud83e\udd80"}"#),
+            (
+                r#"{"op":"ping","note":"🦀"}"#,
+                r#"{"op":"ping","note":"\ud83e\udd80"}"#,
+            ),
+        ] {
+            assert_eq!(
+                s.handle_line(literal).line,
+                s.handle_line(escaped).line,
+                "{escaped}"
+            );
+        }
 
-        // Same equivalence through a batch: escapes anywhere in the line
-        // route the whole batch through the tree path.
-        let fast = s.handle_line(
-            r#"{"op":"batch","ops":[{"op":"ping"},{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":"S1"}]}"#,
+        // Escaped `op`s inside a batch take the shard-grouped pipeline and
+        // answer like the literal batch and like sequential requests.
+        let reqs = [
+            r#"{"op":"predict","host":3,"start":9.0,"hours":2.0}"#,
+            r#"{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":"S2"}"#,
+            r#"{"op":"sweep","host":3,"start":9.0,"hours":2.0,"points":3}"#,
+            r#"{"op":"stats"}"#,
+        ];
+        let literal = format!("{{\"op\":\"batch\",\"ops\":[{}]}}", reqs.join(","));
+        let escaped = literal
+            .replace("\"predict\"", "\"pr\\u0065dict\"")
+            .replace("\"sweep\"", "\"\\u0073weep\"");
+        assert_ne!(literal, escaped);
+        let want = s.handle_line(&literal).line;
+        assert_eq!(s.handle_line(&escaped).line, want);
+        let sequential: Vec<String> = reqs[..3].iter().map(|r| s.handle_line(r).line).collect();
+        assert!(want.starts_with(&sequential.join("\n")), "{want}");
+
+        // Escaped ingest states store the same day as their literal twin.
+        let (a, b) = (warm_server(3, 4), warm_server(3, 4));
+        let day = "12".repeat(7_200);
+        let ingest = |digits: &str| {
+            format!("{{\"op\":\"ingest\",\"host\":3,\"day_index\":4,\"states\":\"{digits}\"}}")
+        };
+        assert_eq!(
+            a.handle_line(&ingest(&day)).line,
+            b.handle_line(&ingest(&day.replace('2', "\\u0032"))).line
         );
-        let slow = s.handle_line(
-            "{\"op\":\"batch\",\"ops\":[{\"op\":\"ping\"},{\"op\":\"predict\",\"host\":3,\"start\":9.0,\"hours\":2.0,\"init\":\"\\u0053\\u0031\"}]}",
-        );
-        assert_eq!(fast.line, slow.line);
+        let sweep = r#"{"op":"sweep","host":3,"start":9.0,"hours":2.0}"#;
+        assert_eq!(a.handle_line(sweep).line, b.handle_line(sweep).line);
+    }
+
+    #[test]
+    fn rejected_lines_keep_their_error_bytes() {
+        let s = server();
+        for (req, want) in [
+            (
+                "[1]",
+                r#"{"ok":false,"error":"json error: expected object with field `op`, found array"}"#,
+            ),
+            (
+                "not json",
+                r#"{"ok":false,"error":"bad request: json error: expected `null` at byte 0"}"#,
+            ),
+            (
+                r#"{"op":"batch","ops":[3,{"op":"ping"}]}"#,
+                "{\"ok\":false,\"error\":\"json error: expected object with field `op`, found number\"}\n\
+                 {\"ok\":true,\"op\":\"ping\"}",
+            ),
+            (
+                r#"{"op":"p\"x"}"#,
+                r#"{"ok":false,"error":"unknown op `p\"x`"}"#,
+            ),
+            (
+                "{\"op\":\"ping\",\"a\":\"tab\there\"}",
+                r#"{"ok":false,"error":"bad request: json error: control character in string at byte 21"}"#,
+            ),
+        ] {
+            assert_eq!(s.handle_line(req).line, want, "{req}");
+        }
     }
 
     #[test]
