@@ -60,27 +60,7 @@ impl TrCurve {
     /// exactly, so curve values are bit-identical to standalone solves.
     #[must_use]
     pub fn from_interval_curves(step_secs: u32, curves: &IntervalCurves) -> TrCurve {
-        TrCurve::from_raw_curves(step_secs, &curves.p1, &curves.p2)
-    }
-
-    /// Shared constructor for solvers that hold the six curves in raw
-    /// array form.
-    pub(crate) fn from_raw_curves(
-        step_secs: u32,
-        p1: &[Vec<f64>; 3],
-        p2: &[Vec<f64>; 3],
-    ) -> TrCurve {
-        TrCurve::from_rows(
-            step_secs,
-            [&p1[0], &p1[1], &p1[2]],
-            [&p2[0], &p2[1], &p2[2]],
-        )
-    }
-
-    /// Constructor over borrowed planar rows (the scratch-arena layout of
-    /// [`crate::smp::SolveScratch`]'s six planes).
-    pub(crate) fn from_rows(step_secs: u32, p1: [&[f64]; 3], p2: [&[f64]; 3]) -> TrCurve {
-        let tr_of = |rows: [&[f64]; 3]| -> Vec<f64> {
+        let tr_of = |rows: &[Vec<f64>; 3]| -> Vec<f64> {
             (0..rows[0].len())
                 .map(|m| {
                     let sum = rows[0][m] + rows[1][m] + rows[2][m];
@@ -90,8 +70,8 @@ impl TrCurve {
         };
         TrCurve {
             step_secs,
-            s1: tr_of(p1),
-            s2: tr_of(p2),
+            s1: tr_of(&curves.p1),
+            s2: tr_of(&curves.p2),
         }
     }
 
@@ -205,22 +185,6 @@ impl<'a> BatchSolver<'a> {
         acc
     }
 
-    /// The shared recursion body over any six mutable rows (heap-backed
-    /// curves or scratch-arena planes alike), in the paper's exact
-    /// summation order.
-    fn run_rows(&self, p1: &mut [&mut [f64]; 3], p2: &mut [&mut [f64]; 3], steps: usize) {
-        let q1 = self.params.row(0);
-        let q2 = self.params.row(1);
-        for m in 1..=steps {
-            for j in 0..3 {
-                let acc1 = Self::convolve(&q1[0], &q1[j + 1], &*p2[j], m);
-                let acc2 = Self::convolve(&q2[0], &q2[j + 1], &*p1[j], m);
-                p1[j][m] = acc1.clamp(0.0, 1.0);
-                p2[j][m] = acc2.clamp(0.0, 1.0);
-            }
-        }
-    }
-
     /// Runs the recursion once up to `steps` and returns all six
     /// `P_{init,j}(m)` curves. Every value is bit-identical to what
     /// [`crate::smp::SparseSolver`] computes at the same `m`.
@@ -233,60 +197,29 @@ impl<'a> BatchSolver<'a> {
         }
         fgcs_runtime::counter_add!("core.batch.runs", 1);
         fgcs_runtime::counter_add!("core.batch.steps", steps as u64);
-        let mut p1: [Vec<f64>; 3] = [
-            vec![0.0; steps + 1],
-            vec![0.0; steps + 1],
-            vec![0.0; steps + 1],
-        ];
-        let mut p2: [Vec<f64>; 3] = [
-            vec![0.0; steps + 1],
-            vec![0.0; steps + 1],
-            vec![0.0; steps + 1],
-        ];
-        {
-            let [a, b, c] = &mut p1;
-            let [d, e, f] = &mut p2;
-            self.run_rows(
-                &mut [a.as_mut_slice(), b.as_mut_slice(), c.as_mut_slice()],
-                &mut [d.as_mut_slice(), e.as_mut_slice(), f.as_mut_slice()],
-                steps,
-            );
+        let mut p1: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; steps + 1]);
+        let mut p2: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; steps + 1]);
+        let q1 = self.params.row(0);
+        let q2 = self.params.row(1);
+        for m in 1..=steps {
+            for j in 0..3 {
+                let acc1 = Self::convolve(&q1[0], &q1[j + 1], &p2[j], m);
+                let acc2 = Self::convolve(&q2[0], &q2[j + 1], &p1[j], m);
+                p1[j][m] = acc1.clamp(0.0, 1.0);
+                p2[j][m] = acc2.clamp(0.0, 1.0);
+            }
         }
         Ok(IntervalCurves { p1, p2 })
     }
 
-    /// The materialized `TR(m)` curve from a single recursion run whose
-    /// six streams live in the caller's [`crate::smp::SolveScratch`] arena — only the
-    /// two output curves are allocated. Bit-identical to [`Self::tr_curve`]
-    /// (same convolution, same order, same clamps).
-    pub fn tr_curve_with(
-        &self,
-        scratch: &mut crate::smp::SolveScratch,
-        steps: usize,
-    ) -> Result<TrCurve, CoreError> {
-        if steps > self.params.horizon() {
-            return Err(CoreError::HorizonTooLong {
-                requested: steps,
-                available: self.params.horizon(),
-            });
-        }
-        fgcs_runtime::counter_add!("core.batch.runs", 1);
-        fgcs_runtime::counter_add!("core.batch.steps", steps as u64);
-        let [a, b, c, d, e, f] = scratch.six_planes(steps);
-        let mut p1 = [a, b, c];
-        let mut p2 = [d, e, f];
-        self.run_rows(&mut p1, &mut p2, steps);
-        Ok(TrCurve::from_rows(
-            self.params.step_secs(),
-            [&*p1[0], &*p1[1], &*p1[2]],
-            [&*p2[0], &*p2[1], &*p2[2]],
-        ))
-    }
-
     /// The materialized `TR(m)` curve for `m = 0..=steps`, both initial
-    /// states, from a single recursion run (thread-local scratch arena).
+    /// states, from a single recursion run.
     pub fn tr_curve(&self, steps: usize) -> Result<TrCurve, CoreError> {
-        crate::smp::with_thread_scratch(|scratch| self.tr_curve_with(scratch, steps))
+        let curves = self.interval_curves(steps)?;
+        Ok(TrCurve::from_interval_curves(
+            self.params.step_secs(),
+            &curves,
+        ))
     }
 
     /// Answers a whole sweep of horizons from one recursion run at the

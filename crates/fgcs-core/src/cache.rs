@@ -37,7 +37,7 @@ const DEDUP_STRIPES: usize = 16;
 struct DedupEntry {
     weak: Weak<SmpParams>,
     /// Memoized scalar solves for the canonical kernel, keyed by the
-    /// caller-encoded `(steps, policy, init)` word. Only successful solves
+    /// caller-encoded `(steps, init)` word. Only successful solves
     /// are stored, so a hit is always a previously returned value.
     memo: HashMap<u64, f64>,
 }

@@ -59,8 +59,8 @@ pub use error::CoreError;
 pub use log::{DayLog, HistoryStore, IngestReport, StateLog};
 pub use model::{AvailabilityModel, LoadSample};
 pub use predictor::{
-    empirical_tr, evaluate_window, evaluate_window_markov, SmpPredictor, SolverPolicy,
-    TrPrediction, WindowEvaluation,
+    empirical_tr, evaluate_window, evaluate_window_markov, SmpPredictor, TrPrediction,
+    WindowEvaluation,
 };
 pub use registry::{
     IngestAck, RegistryConfig, RegistryError, RegistryStats, ShardSession, ShardedRegistry,

@@ -4,32 +4,14 @@
 use fgcs_runtime::impl_json_struct;
 use fgcs_runtime::rng::Rng;
 
-use crate::batch::{BatchSolver, TrCurve};
+use crate::batch::TrCurve;
 use crate::cache::QhCache;
 use crate::error::CoreError;
 use crate::log::HistoryStore;
 use crate::model::AvailabilityModel;
-use crate::smp::{FastSolver, IntervalProbs, SmpParams, SparseSolver};
+use crate::smp::{FastSolver, SmpParams};
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
-
-/// Which Eq.-3 solver backs a predictor's queries.
-///
-/// The two policies answer from the same estimated kernel and differ only
-/// in floating-point association: the fast path is property-tested to stay
-/// within 1e-12 (unit scale) of the oracle at every horizon, and the chaos
-/// harness asserts scheduler *decisions* are identical under either policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverPolicy {
-    /// The production path (default): [`FastSolver`]'s SoA streams and
-    /// scratch arenas — allocation-free when warm, `O(steps · nnz)`.
-    #[default]
-    Fast,
-    /// The verbatim paper-order recursion ([`SparseSolver`] /
-    /// [`BatchSolver`]) — the bitwise oracle, used by verification
-    /// harnesses and ablations.
-    PaperOracle,
-}
 
 /// The SMP-based temporal reliability predictor.
 ///
@@ -44,8 +26,6 @@ pub struct SmpPredictor {
     /// When `false`, history from *both* day types is used (ablation of the
     /// paper's same-day-type selection).
     same_day_type_only: bool,
-    /// Which solver answers the queries.
-    solver_policy: SolverPolicy,
 }
 
 impl SmpPredictor {
@@ -57,7 +37,6 @@ impl SmpPredictor {
             model,
             max_history_days: None,
             same_day_type_only: true,
-            solver_policy: SolverPolicy::default(),
         }
     }
 
@@ -75,75 +54,10 @@ impl SmpPredictor {
         self
     }
 
-    /// Selects the solver backing the queries (fast path vs paper oracle).
-    #[must_use]
-    pub fn with_solver_policy(mut self, policy: SolverPolicy) -> SmpPredictor {
-        self.solver_policy = policy;
-        self
-    }
-
-    /// The solver policy in effect.
-    #[must_use]
-    pub fn solver_policy(&self) -> SolverPolicy {
-        self.solver_policy
-    }
-
     /// The availability model configuration.
     #[must_use]
     pub fn model(&self) -> &AvailabilityModel {
         &self.model
-    }
-
-    /// Solves one scalar TR under the configured policy.
-    pub(crate) fn solve_tr(
-        &self,
-        params: &SmpParams,
-        init: State,
-        steps: usize,
-    ) -> Result<f64, CoreError> {
-        match self.solver_policy {
-            SolverPolicy::Fast => FastSolver::new(params).temporal_reliability(init, steps),
-            SolverPolicy::PaperOracle => {
-                SparseSolver::new(params).temporal_reliability(init, steps)
-            }
-        }
-    }
-
-    /// Solves the six interval probabilities under the configured policy.
-    pub(crate) fn solve_interval_probs(
-        &self,
-        params: &SmpParams,
-        steps: usize,
-    ) -> Result<IntervalProbs, CoreError> {
-        match self.solver_policy {
-            SolverPolicy::Fast => FastSolver::new(params).interval_probabilities(steps),
-            SolverPolicy::PaperOracle => SparseSolver::new(params).interval_probabilities(steps),
-        }
-    }
-
-    /// Solves the batched TR curve under the configured policy.
-    pub(crate) fn solve_tr_curve(
-        &self,
-        params: &SmpParams,
-        steps: usize,
-    ) -> Result<TrCurve, CoreError> {
-        match self.solver_policy {
-            SolverPolicy::Fast => FastSolver::new(params).tr_curve(steps),
-            SolverPolicy::PaperOracle => BatchSolver::new(params).tr_curve(steps),
-        }
-    }
-
-    /// Solves the reliability curve under the configured policy.
-    pub(crate) fn solve_reliability_curve(
-        &self,
-        params: &SmpParams,
-        init: State,
-        steps: usize,
-    ) -> Result<Vec<f64>, CoreError> {
-        match self.solver_policy {
-            SolverPolicy::Fast => FastSolver::new(params).reliability_curve(init, steps),
-            SolverPolicy::PaperOracle => SparseSolver::new(params).reliability_curve(init, steps),
-        }
     }
 
     /// The history-selection knobs `(max_history_days,
@@ -151,28 +65,7 @@ impl SmpPredictor {
     pub(crate) fn history_selection(&self) -> (Option<usize>, bool) {
         (self.max_history_days, self.same_day_type_only)
     }
-}
 
-/// Encodes the full input of a scalar solve — everything besides the kernel
-/// itself — into one word for the per-kernel solve memo: the step count in
-/// the high bits, the solver policy at bit 3, the initial state in the low
-/// three bits.
-pub(crate) fn solve_memo_key(init: State, policy: SolverPolicy, steps: usize) -> u64 {
-    let state_bits = match init {
-        State::S1 => 0u64,
-        State::S2 => 1,
-        State::S3 => 2,
-        State::S4 => 3,
-        State::S5 => 4,
-    };
-    let policy_bit = match policy {
-        SolverPolicy::Fast => 0u64,
-        SolverPolicy::PaperOracle => 1,
-    };
-    ((steps as u64) << 4) | (policy_bit << 3) | state_bits
-}
-
-impl SmpPredictor {
     /// Estimates the SMP parameters for a window from the history store.
     pub fn estimate_params(
         &self,
@@ -237,8 +130,8 @@ impl SmpPredictor {
         let steps = window.steps(self.model.monitor_period_secs);
         // The fast path is property-tested within 1e-12 (unit scale) of the
         // paper's Eq.-3 recursion and asymptotically faster on estimated
-        // kernels; `SolverPolicy::PaperOracle` swaps in the verbatim one.
-        self.solve_tr(&params, init, steps)
+        // kernels.
+        FastSolver::new(&params).temporal_reliability(init, steps)
     }
 
     /// Like [`SmpPredictor::predict`], but memoizes the estimated kernel in
@@ -250,9 +143,9 @@ impl SmpPredictor {
     /// the cache's [dedup table](crate::cache::KernelDedup): when many
     /// hosts share one interned kernel (a fleet with a handful of
     /// availability classes), the Eq.-3 recursion runs once per
-    /// `(kernel, init, policy, steps)` and every other host reads the
-    /// stored value — the same bits the solve would have produced, since
-    /// both policies are deterministic functions of exactly those inputs.
+    /// `(kernel, init, steps)` and every other host reads the stored value
+    /// — the same bits the solve would have produced, since the solver is a
+    /// deterministic function of exactly those inputs.
     pub fn predict_cached(
         &self,
         cache: &QhCache,
@@ -269,11 +162,11 @@ impl SmpPredictor {
         fgcs_runtime::counter_add!("core.tr_queries", 1);
         let params = cache.get_or_estimate(self, host, history, day_type, window)?;
         let steps = window.steps(self.model.monitor_period_secs);
-        let key = solve_memo_key(init, self.solver_policy, steps);
+        let key = solve_memo_key(init, steps);
         if let Some(tr) = cache.dedup().memo_get(&params, key) {
             return Ok(tr);
         }
-        let tr = self.solve_tr(&params, init, steps)?;
+        let tr = FastSolver::new(&params).temporal_reliability(init, steps)?;
         cache.dedup().memo_put(&params, key, tr);
         Ok(tr)
     }
@@ -291,7 +184,7 @@ impl SmpPredictor {
     ) -> Result<TrCurve, CoreError> {
         let params = self.estimate_params(history, day_type, window)?;
         let steps = window.steps(self.model.monitor_period_secs);
-        self.solve_tr_curve(&params, steps)
+        FastSolver::new(&params).tr_curve(steps)
     }
 
     /// Predicts the temporal reliability together with a bootstrap
@@ -326,7 +219,7 @@ impl SmpPredictor {
         }
         let refs: Vec<&[State]> = slices.iter().map(Vec::as_slice).collect();
         let params = SmpParams::estimate(&refs, step, steps);
-        let tr = self.solve_tr(&params, init, steps)?;
+        let tr = FastSolver::new(&params).temporal_reliability(init, steps)?;
 
         let mut boots = Vec::with_capacity(n_boot);
         for _ in 0..n_boot {
@@ -334,7 +227,7 @@ impl SmpPredictor {
                 .map(|_| refs[rng.range_usize(0, refs.len())])
                 .collect();
             let p = SmpParams::estimate(&resample, step, steps);
-            boots.push(self.solve_tr(&p, init, steps)?);
+            boots.push(FastSolver::new(&p).temporal_reliability(init, steps)?);
         }
         let confidence = confidence.clamp(0.0, 1.0);
         let lo_q = (1.0 - confidence) / 2.0;
@@ -361,8 +254,22 @@ impl SmpPredictor {
         }
         let params = self.estimate_params(history, day_type, window)?;
         let steps = window.steps(self.model.monitor_period_secs);
-        self.solve_reliability_curve(&params, init, steps)
+        FastSolver::new(&params).reliability_curve(init, steps)
     }
+}
+
+/// Encodes the full input of a scalar solve — everything besides the kernel
+/// itself — into one word for the per-kernel solve memo: the step count in
+/// the high bits, the initial state in the low three bits.
+pub(crate) fn solve_memo_key(init: State, steps: usize) -> u64 {
+    let state_bits = match init {
+        State::S1 => 0u64,
+        State::S2 => 1,
+        State::S3 => 2,
+        State::S4 => 3,
+        State::S5 => 4,
+    };
+    ((steps as u64) << 3) | state_bits
 }
 
 /// A temporal-reliability prediction with bootstrap uncertainty.
@@ -526,7 +433,7 @@ pub fn evaluate_window(
     // Both possible predictions from ONE recursion run: the six interval
     // probabilities contain the S1 and S2 rows, so running the solver per
     // initial state would do the same work twice for identical values.
-    let probs = predictor.solve_interval_probs(&params, steps)?;
+    let probs = FastSolver::new(&params).interval_probabilities(steps)?;
     let tr_s1 = (1.0 - probs.failure_probability(State::S1)).clamp(0.0, 1.0);
     let tr_s2 = (1.0 - probs.failure_probability(State::S2)).clamp(0.0, 1.0);
 
@@ -804,41 +711,37 @@ mod tests {
         let store = store_of_days(&days);
         let w = TimeWindow::new(0, 600);
         let cache = QhCache::new(8);
-        for policy in [SolverPolicy::Fast, SolverPolicy::PaperOracle] {
-            let p = SmpPredictor::new(model()).with_solver_policy(policy);
-            let direct = p.predict(&store, DayType::Weekday, w, S1).unwrap();
-            let first = p
-                .predict_cached(&cache, 1, &store, DayType::Weekday, w, S1)
-                .unwrap();
-            // Second call is served from the solve memo; a second *host*
-            // with the same history shares the canonical kernel and hits
-            // the same memo entry.
-            let memoized = p
-                .predict_cached(&cache, 1, &store, DayType::Weekday, w, S1)
-                .unwrap();
-            let other_host = p
-                .predict_cached(&cache, 2, &store, DayType::Weekday, w, S1)
-                .unwrap();
-            assert_eq!(direct.to_bits(), first.to_bits(), "{policy:?}");
-            assert_eq!(direct.to_bits(), memoized.to_bits(), "{policy:?}");
-            assert_eq!(direct.to_bits(), other_host.to_bits(), "{policy:?}");
-            // Different init / policy / steps use different memo slots.
-            let s2 = p
-                .predict_cached(&cache, 1, &store, DayType::Weekday, w, S2)
-                .unwrap();
-            let s2_direct = p.predict(&store, DayType::Weekday, w, S2).unwrap();
-            assert_eq!(s2.to_bits(), s2_direct.to_bits(), "{policy:?}");
-        }
+        let p = SmpPredictor::new(model());
+        let direct = p.predict(&store, DayType::Weekday, w, S1).unwrap();
+        let first = p
+            .predict_cached(&cache, 1, &store, DayType::Weekday, w, S1)
+            .unwrap();
+        // Second call is served from the solve memo; a second *host* with
+        // the same history shares the canonical kernel and hits the same
+        // memo entry.
+        let memoized = p
+            .predict_cached(&cache, 1, &store, DayType::Weekday, w, S1)
+            .unwrap();
+        let other_host = p
+            .predict_cached(&cache, 2, &store, DayType::Weekday, w, S1)
+            .unwrap();
+        assert_eq!(direct.to_bits(), first.to_bits());
+        assert_eq!(direct.to_bits(), memoized.to_bits());
+        assert_eq!(direct.to_bits(), other_host.to_bits());
+        // Different init / steps use different memo slots.
+        let s2 = p
+            .predict_cached(&cache, 1, &store, DayType::Weekday, w, S2)
+            .unwrap();
+        let s2_direct = p.predict(&store, DayType::Weekday, w, S2).unwrap();
+        assert_eq!(s2.to_bits(), s2_direct.to_bits());
     }
 
     #[test]
     fn solve_memo_keys_are_injective_over_inputs() {
         let mut seen = std::collections::HashSet::new();
         for steps in [0usize, 1, 7, 1200] {
-            for policy in [SolverPolicy::Fast, SolverPolicy::PaperOracle] {
-                for init in [S1, S2, S3, S4, S5] {
-                    assert!(seen.insert(solve_memo_key(init, policy, steps)));
-                }
+            for init in [S1, S2, S3, S4, S5] {
+                assert!(seen.insert(solve_memo_key(init, steps)));
             }
         }
     }

@@ -47,7 +47,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use fgcs_runtime::fault::FaultInjector;
@@ -60,8 +60,8 @@ use crate::cache::{KernelDedup, QhCache};
 use crate::error::CoreError;
 use crate::log::{DayLog, HistoryStore, StateLog};
 use crate::model::AvailabilityModel;
-use crate::predictor::{solve_memo_key, SmpPredictor, SolverPolicy};
-use crate::smp::{IncrementalEstimator, SmpParams};
+use crate::predictor::{solve_memo_key, SmpPredictor};
+use crate::smp::{FastSolver, IncrementalEstimator, SmpParams};
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
 
@@ -73,17 +73,9 @@ pub struct RegistryConfig {
     pub shards: usize,
     /// The availability model whose monitoring period stamps ingested days.
     pub model: AvailabilityModel,
-    /// Which Eq.-3 solver answers the queries.
-    pub solver_policy: SolverPolicy,
     /// Sliding history bound per estimator (`None` = all qualifying days),
     /// mirroring `SmpPredictor::with_max_history_days`.
     pub max_history_days: Option<usize>,
-    /// Built-kernel cache capacity *per shard*.
-    pub qh_capacity_per_shard: usize,
-    /// Distinct `(day_type, window)` estimator coordinates maintained
-    /// incrementally per host; further coordinates fall back to full-scan
-    /// estimation (same bits, rescan cost).
-    pub max_estimators_per_host: usize,
     /// Durability root: per-shard WAL + snapshot files live here. `None`
     /// keeps the registry purely in memory (the pre-durability behavior).
     pub data_dir: Option<PathBuf>,
@@ -104,10 +96,7 @@ impl Default for RegistryConfig {
         RegistryConfig {
             shards: 8,
             model: AvailabilityModel::default(),
-            solver_policy: SolverPolicy::default(),
             max_history_days: None,
-            qh_capacity_per_shard: 4096,
-            max_estimators_per_host: 4,
             data_dir: None,
             fsync_every: 256,
             snapshot_every: 4096,
@@ -115,6 +104,14 @@ impl Default for RegistryConfig {
         }
     }
 }
+
+/// Built-kernel cache capacity per shard.
+const QH_CAPACITY_PER_SHARD: usize = 4096;
+
+/// Distinct `(day_type, window)` estimator coordinates maintained
+/// incrementally per host; further coordinates fall back to full-scan
+/// estimation (same bits, rescan cost).
+const MAX_ESTIMATORS_PER_HOST: usize = 4;
 
 /// An error from a registry operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,11 +248,11 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(index: usize, qh_capacity: usize, dedup: &Arc<KernelDedup>) -> Shard {
+    fn new(index: usize, dedup: &Arc<KernelDedup>) -> Shard {
         Shard {
             index,
             hosts: HashMap::new(),
-            qh: QhCache::with_dedup(qh_capacity, Arc::clone(dedup)),
+            qh: QhCache::with_dedup(QH_CAPACITY_PER_SHARD, Arc::clone(dedup)),
             ingested: 0,
             wal: None,
             wal_buf: JsonWriter::new(),
@@ -276,7 +273,6 @@ pub struct ShardedRegistry {
     shards: Vec<Mutex<Shard>>,
     predictor: SmpPredictor,
     model: AvailabilityModel,
-    max_estimators_per_host: usize,
     /// One dedup table shared by every shard's kernel cache: hosts with
     /// identical Q/H windows resolve to one canonical `Arc<SmpParams>`
     /// regardless of which shard they live on, and scalar solves are
@@ -288,7 +284,6 @@ pub struct ShardedRegistry {
     /// is recovered from a panicking request, never cleared — the shard
     /// keeps serving, quality-tagged, until the process restarts.
     poisoned: Vec<AtomicBool>,
-    poison_events: AtomicU64,
     /// Test-only `wal.*` fault wiring (stream = shard index).
     wal_faults: Option<FaultInjector>,
 }
@@ -300,8 +295,8 @@ impl ShardedRegistry {
     /// configurations.
     ///
     /// # Panics
-    /// Panics when `config.shards` is zero, the cache capacity is zero,
-    /// or (durable configurations only) the data dir cannot be opened.
+    /// Panics when `config.shards` is zero, or (durable configurations
+    /// only) when the data dir cannot be opened.
     #[must_use]
     pub fn new(config: RegistryConfig) -> ShardedRegistry {
         ShardedRegistry::open(config).expect("registry data dir open/recovery failed")
@@ -313,28 +308,25 @@ impl ShardedRegistry {
     /// replay (see [`ShardedRegistry::recover`]).
     ///
     /// # Panics
-    /// Panics when `config.shards` is zero or the cache capacity is zero.
+    /// Panics when `config.shards` is zero.
     pub fn open(config: RegistryConfig) -> Result<ShardedRegistry, RegistryError> {
         assert!(config.shards > 0, "registry needs at least one shard");
-        let mut predictor =
-            SmpPredictor::new(config.model).with_solver_policy(config.solver_policy);
+        let mut predictor = SmpPredictor::new(config.model);
         if let Some(n) = config.max_history_days {
             predictor = predictor.with_max_history_days(n);
         }
         let dedup = Arc::new(KernelDedup::new());
         let shards = (0..config.shards)
-            .map(|i| Mutex::new(Shard::new(i, config.qh_capacity_per_shard, &dedup)))
+            .map(|i| Mutex::new(Shard::new(i, &dedup)))
             .collect();
         let poisoned = (0..config.shards).map(|_| AtomicBool::new(false)).collect();
         let reg = ShardedRegistry {
             shards,
             predictor,
             model: config.model,
-            max_estimators_per_host: config.max_estimators_per_host,
             dedup,
             snapshot_every: config.snapshot_every,
             poisoned,
-            poison_events: AtomicU64::new(0),
             wal_faults: config.wal_faults.clone(),
         };
         if let Some(dir) = &config.data_dir {
@@ -351,12 +343,6 @@ impl ShardedRegistry {
             data_dir: Some(dir.to_path_buf()),
             ..RegistryConfig::default()
         })
-    }
-
-    /// The cross-shard kernel dedup table (shared by every shard's cache).
-    #[must_use]
-    pub fn kernel_dedup(&self) -> &Arc<KernelDedup> {
-        &self.dedup
     }
 
     /// Number of shards.
@@ -496,13 +482,13 @@ impl ShardedRegistry {
         let params = self.params_for_locked(shard, host, day_type, window)?;
         let steps = window.steps(self.model.monitor_period_secs);
         // Per-kernel solve memo: hosts sharing the canonical kernel pay the
-        // Eq.-3 recursion once per (init, policy, steps) and read the
-        // stored bits afterwards.
-        let key = solve_memo_key(init, self.predictor.solver_policy(), steps);
+        // Eq.-3 recursion once per (init, steps) and read the stored bits
+        // afterwards.
+        let key = solve_memo_key(init, steps);
         if let Some(tr) = self.dedup.memo_get(&params, key) {
             return Ok(tr);
         }
-        let tr = self.predictor.solve_tr(&params, init, steps)?;
+        let tr = FastSolver::new(&params).temporal_reliability(init, steps)?;
         self.dedup.memo_put(&params, key, tr);
         Ok(tr)
     }
@@ -530,7 +516,7 @@ impl ShardedRegistry {
         fgcs_runtime::counter_add!("core.registry.queries", 1);
         let params = self.params_for_locked(shard, host, day_type, window)?;
         let steps = window.steps(self.model.monitor_period_secs);
-        Ok(self.predictor.solve_tr_curve(&params, steps)?)
+        Ok(FastSolver::new(&params).tr_curve(steps)?)
     }
 
     /// Answers several predict ops for one `(host, day_type, window)` from
@@ -550,7 +536,6 @@ impl ShardedRegistry {
         inits: &[State],
     ) -> Vec<Result<f64, RegistryError>> {
         let steps = window.steps(self.model.monitor_period_secs);
-        let policy = self.predictor.solver_policy();
         fgcs_runtime::counter_add!("core.registry.queries", inits.len() as u64);
         let params = match self.params_for_locked(shard, host, day_type, window) {
             Ok(p) => p,
@@ -575,14 +560,14 @@ impl ShardedRegistry {
                     return Some(Err(CoreError::FailureInitialState(init).into()));
                 }
                 self.dedup
-                    .memo_get(&params, solve_memo_key(init, policy, steps))
+                    .memo_get(&params, solve_memo_key(init, steps))
                     .map(Ok)
             })
             .collect();
         if out.iter().any(Option::is_none) {
             // At least one value is not memoized: one curve run answers
             // every remaining init at once.
-            let curve = self.predictor.solve_tr_curve(&params, steps);
+            let curve = FastSolver::new(&params).tr_curve(steps);
             for (&init, slot) in inits.iter().zip(&mut out) {
                 if slot.is_some() {
                     continue;
@@ -591,7 +576,7 @@ impl ShardedRegistry {
                     Ok(c) => match c.tr(init, steps) {
                         Ok(tr) => {
                             self.dedup
-                                .memo_put(&params, solve_memo_key(init, policy, steps), tr);
+                                .memo_put(&params, solve_memo_key(init, steps), tr);
                             Ok(tr)
                         }
                         Err(e) => Err(e.clone().into()),
@@ -700,7 +685,6 @@ impl ShardedRegistry {
         let predictor = &self.predictor;
         let step = self.model.monitor_period_secs;
         let max_days = predictor.history_selection().0;
-        let max_estimators = self.max_estimators_per_host;
         let params =
             shard
                 .qh
@@ -710,7 +694,7 @@ impl ShardedRegistry {
                         .position(|(coord, _)| *coord == (day_type, window))
                     {
                         Some(i) => Some(i),
-                        None if estimators.len() < max_estimators => {
+                        None if estimators.len() < MAX_ESTIMATORS_PER_HOST => {
                             estimators.push((
                                 (day_type, window),
                                 IncrementalEstimator::new(step, day_type, window, max_days),
@@ -959,7 +943,6 @@ impl ShardedRegistry {
             Ok(guard) => guard,
             Err(poisoned) => {
                 if !self.poisoned[shard].swap(true, Ordering::Relaxed) {
-                    self.poison_events.fetch_add(1, Ordering::Relaxed);
                     fgcs_runtime::counter_add!("core.registry.shard_poisonings", 1);
                 }
                 poisoned.into_inner()
@@ -1142,6 +1125,8 @@ impl std::fmt::Debug for ShardSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
+
     use fgcs_runtime::fault::FaultPlan;
     use fgcs_runtime::rng::{Rng, Xoshiro256};
     use State::*;
@@ -1327,13 +1312,10 @@ mod tests {
 
     #[test]
     fn estimator_budget_fallback_stays_bitwise() {
-        // One estimator slot, three query windows: windows beyond the
-        // budget take the full-scan path and must return the same bits.
-        let cfg = RegistryConfig {
-            max_estimators_per_host: 1,
-            ..config(2)
-        };
-        let reg = ShardedRegistry::new(cfg);
+        // One query window more than the per-host estimator budget: the
+        // last window takes the full-scan path and must return the same
+        // bits as the incremental ones.
+        let reg = ShardedRegistry::new(config(2));
         let mut rng = Xoshiro256::seed_from_u64(23);
         let mut oracle_history = HistoryStore::new();
         for day in 0..7 {
@@ -1342,7 +1324,8 @@ mod tests {
             reg.ingest_day(9, Some(day), states).unwrap();
         }
         let oracle = SmpPredictor::new(AvailabilityModel::default());
-        for start in [6.0, 9.0, 13.0] {
+        for i in 0..=MAX_ESTIMATORS_PER_HOST {
+            let start = 6.0 + 2.0 * i as f64;
             let window = TimeWindow::from_hours(start, 1.5);
             let want = oracle
                 .predict(&oracle_history, DayType::Weekday, window, S1)
@@ -1350,6 +1333,8 @@ mod tests {
             let got = reg.predict(9, DayType::Weekday, window, S1).unwrap();
             assert_eq!(want.to_bits(), got.to_bits(), "window start {start}");
         }
+        let shard = reg.lock(reg.shard_index(9));
+        assert_eq!(shard.hosts[&9].estimators.len(), MAX_ESTIMATORS_PER_HOST);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use crate::cache::QhCache;
 use crate::error::CoreError;
 use crate::log::HistoryStore;
 use crate::predictor::SmpPredictor;
+use crate::smp::FastSolver;
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
 
@@ -168,7 +169,7 @@ impl RobustPredictor {
         // 1. Exact: fresh kernel from the live history.
         if let Ok(params) = cache.get_or_estimate(&self.predictor, host, history, day_type, window)
         {
-            if let Ok(tr) = self.predictor.solve_tr(&params, init, steps) {
+            if let Ok(tr) = FastSolver::new(&params).temporal_reliability(init, steps) {
                 return Ok(self.tag(tr, PredictionQuality::Exact));
             }
         }
@@ -176,7 +177,7 @@ impl RobustPredictor {
         // 2. Stale: a kernel from an earlier history snapshot of the same
         // coordinates.
         if let Some(params) = cache.get_stale(&self.predictor, host, day_type, window) {
-            if let Ok(tr) = self.predictor.solve_tr(&params, init, steps) {
+            if let Ok(tr) = FastSolver::new(&params).temporal_reliability(init, steps) {
                 return Ok(self.tag(tr, PredictionQuality::Stale));
             }
         }
@@ -188,7 +189,7 @@ impl RobustPredictor {
         let attempts = [window, TimeWindow::new(0, window.len_secs)];
         for w in attempts {
             if let Ok(params) = widened.estimate_params(history, day_type, w) {
-                if let Ok(tr) = widened.solve_tr(&params, init, steps) {
+                if let Ok(tr) = FastSolver::new(&params).temporal_reliability(init, steps) {
                     return Ok(self.tag(tr, PredictionQuality::Widened));
                 }
             }

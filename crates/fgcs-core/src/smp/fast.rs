@@ -91,21 +91,6 @@ impl SolveScratch {
         rest.fill(0.0);
         (p1, rest)
     }
-
-    /// Six zeroed planar streams of `steps + 1` slots each (the layout the
-    /// batched paper-order solver uses).
-    pub(crate) fn six_planes(&mut self, steps: usize) -> [&mut [f64]; 6] {
-        let n = steps + 1;
-        if self.buf.len() < 6 * n {
-            self.buf.resize(6 * n, 0.0);
-        }
-        let mut chunks = self.buf[..6 * n].chunks_exact_mut(n);
-        std::array::from_fn(|_| {
-            let plane = chunks.next().expect("exactly six planes");
-            plane.fill(0.0);
-            plane
-        })
-    }
 }
 
 /// One convolution step for all three failure targets of one source:

@@ -46,12 +46,6 @@ pub struct ChaosConfig {
     pub job_every_steps: usize,
     /// Work per submitted job, in CPU-seconds.
     pub job_work_secs: f64,
-    /// Run every prediction through the verbatim paper-order solver
-    /// instead of the default error-bounded fast path. Scheduling
-    /// decisions must be identical either way (`decision_digest` agrees);
-    /// TR bits may differ within the 1e-12 fast-path budget, so `digest`
-    /// may not.
-    pub paper_oracle: bool,
 }
 
 impl ChaosConfig {
@@ -67,7 +61,6 @@ impl ChaosConfig {
             predict_every_steps: 25,
             job_every_steps: 50,
             job_work_secs: 1_800.0,
-            paper_oracle: false,
         }
     }
 
@@ -83,13 +76,6 @@ impl ChaosConfig {
     #[must_use]
     pub fn with_plan(mut self, plan: FaultPlan) -> ChaosConfig {
         self.plan = Some(plan);
-        self
-    }
-
-    /// Forces every prediction through the verbatim paper-order solver.
-    #[must_use]
-    pub fn with_paper_oracle(mut self) -> ChaosConfig {
-        self.paper_oracle = true;
         self
     }
 }
@@ -136,9 +122,8 @@ pub struct ChaosReport {
     pub digest: u64,
     /// Order-sensitive FNV-1a digest over scheduling outcomes only (the
     /// chosen node index, no-candidate rounds, blackout rejections) —
-    /// *not* the TR bits. This is the quantity the fast-vs-oracle solver
-    /// equivalence check compares: solvers may differ in the last few TR
-    /// ulps, but the decisions they drive must be identical.
+    /// *not* the TR bits: two runs can agree on it while their TRs
+    /// differ in the last few ulps.
     pub decision_digest: u64,
 }
 
@@ -208,11 +193,7 @@ pub fn run_campaign(config: &ChaosConfig) -> ChaosReport {
             if let Some(plan) = &config.plan {
                 corrupt_trace(&mut trace, plan);
             }
-            let node = HostNode::new(trace, model).with_solver_policy(if config.paper_oracle {
-                fgcs_core::predictor::SolverPolicy::PaperOracle
-            } else {
-                fgcs_core::predictor::SolverPolicy::Fast
-            });
+            let node = HostNode::new(trace, model);
             match &config.plan {
                 Some(plan) => node.with_fault_injector(plan.clone()),
                 None => node,
@@ -357,16 +338,5 @@ mod tests {
         let zero = run_campaign(&small(5).with_plan(FaultPlan::none(5)));
         let pristine = run_campaign(&small(5).without_faults());
         assert_eq!(zero, pristine);
-    }
-
-    #[test]
-    fn paper_oracle_campaign_makes_identical_decisions() {
-        let fast = run_campaign(&small(13));
-        let oracle = run_campaign(&small(13).with_paper_oracle());
-        assert_eq!(fast.decision_digest, oracle.decision_digest);
-        assert_eq!(fast.decisions, oracle.decisions);
-        assert_eq!(fast.submitted, oracle.submitted);
-        assert_eq!(fast.completed, oracle.completed);
-        assert_eq!(fast.killed, oracle.killed);
     }
 }

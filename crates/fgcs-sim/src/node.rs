@@ -87,15 +87,6 @@ impl HostNode {
         }
     }
 
-    /// Selects the Eq.-3 solver the node's prediction endpoints run:
-    /// the default error-bounded fast path, or the verbatim paper-order
-    /// oracle for audits. Scheduling decisions are identical either way.
-    #[must_use]
-    pub fn with_solver_policy(mut self, policy: fgcs_core::predictor::SolverPolicy) -> HostNode {
-        self.manager = self.manager.with_solver_policy(policy);
-        self
-    }
-
     /// Attaches a fault injector: from now on every observation the State
     /// Manager receives passes through the plan's corruption boundary
     /// (value faults, drops, duplicates, stuck readings, outages) and the

@@ -14,7 +14,7 @@ use fgcs_core::cache::QhCache;
 use fgcs_core::error::CoreError;
 use fgcs_core::log::{DayLog, HistoryStore, StateLog};
 use fgcs_core::model::{AvailabilityModel, LoadSample};
-use fgcs_core::predictor::{SmpPredictor, SolverPolicy};
+use fgcs_core::predictor::SmpPredictor;
 use fgcs_core::robust::{PredictionQuality, QualifiedTr, RobustPredictor};
 use fgcs_core::state::State;
 use fgcs_core::window::{DayType, TimeWindow};
@@ -54,10 +54,6 @@ pub struct StateManager {
     /// [`StateManager::end_day`] invalidates implicitly; wholesale store
     /// replacement must clear explicitly.
     qh_cache: QhCache,
-    /// Which Eq.-3 solver the prediction endpoints run. The default fast
-    /// path stays within 1e-12 (unit scale) of the paper-order oracle;
-    /// `PaperOracle` forces the verbatim recursion for audits.
-    solver_policy: SolverPolicy,
 }
 
 impl StateManager {
@@ -75,21 +71,7 @@ impl StateManager {
             overload_run: 0,
             currently_failed: false,
             qh_cache: QhCache::new(QH_CACHE_CAPACITY),
-            solver_policy: SolverPolicy::default(),
         }
-    }
-
-    /// Selects the Eq.-3 solver the prediction endpoints dispatch to.
-    #[must_use]
-    pub fn with_solver_policy(mut self, policy: SolverPolicy) -> StateManager {
-        self.solver_policy = policy;
-        self
-    }
-
-    /// The solver policy in use.
-    #[must_use]
-    pub fn solver_policy(&self) -> SolverPolicy {
-        self.solver_policy
     }
 
     /// The availability model in use.
@@ -268,16 +250,14 @@ impl StateManager {
         let (day_type, window) = self.query_window(horizon_secs);
         // The cache is private to this manager, so the host component of
         // the key is constant.
-        SmpPredictor::new(self.model)
-            .with_solver_policy(self.solver_policy)
-            .predict_cached(
-                &self.qh_cache,
-                0,
-                &self.store,
-                day_type,
-                window,
-                self.last_operational,
-            )
+        SmpPredictor::new(self.model).predict_cached(
+            &self.qh_cache,
+            0,
+            &self.store,
+            day_type,
+            window,
+            self.last_operational,
+        )
     }
 
     /// Like [`StateManager::predict_tr`], but through the
@@ -288,9 +268,7 @@ impl StateManager {
     #[must_use]
     pub fn predict_tr_qualified(&self, horizon_secs: u32) -> QualifiedTr {
         let (day_type, window) = self.query_window(horizon_secs);
-        let robust = RobustPredictor::new(
-            SmpPredictor::new(self.model).with_solver_policy(self.solver_policy),
-        );
+        let robust = RobustPredictor::new(SmpPredictor::new(self.model));
         match robust.predict(
             &self.qh_cache,
             0,

@@ -66,9 +66,10 @@
 //! `{"ok":false,"code":"too_large",…}` reply, after which the connection
 //! keeps working. TCP connections additionally get a per-connection read
 //! and write deadline ([`ServeConfig::read_timeout`]) so a stalled peer
-//! releases its thread, and the accept loop sheds connections beyond
-//! [`ServeConfig::max_connections`] with a one-line `busy` reply instead
-//! of growing without bound. Each request is wrapped in
+//! releases its thread, and `TCP_NODELAY`, so no reply waits for the
+//! peer's delayed ACK of the one before. The accept loop sheds
+//! connections beyond [`ServeConfig::max_connections`] with a one-line
+//! `busy` reply instead of growing without bound. Each request is wrapped in
 //! [`std::panic::catch_unwind`]: a panicking handler yields a structured
 //! `panic` error reply, the half-written reply bytes are rolled back, and
 //! any shard mutex poisoned by the unwind is recovered by the registry —
@@ -475,6 +476,17 @@ fn write_predict_line(
     out.raw("}\n");
 }
 
+/// Appends `,"key":value` for each pair — the body of the counter replies.
+// lint: no-alloc
+fn write_u64_fields(out: &mut JsonWriter, fields: &[(&str, u64)]) {
+    for &(key, value) in fields {
+        out.raw(",\"");
+        out.raw(key);
+        out.raw("\":");
+        out.u64(value);
+    }
+}
+
 /// The `host` readiness reply: how many days the registry stores for one
 /// host (what a recovered server has actually replayed).
 // lint: no-alloc
@@ -603,14 +615,8 @@ impl Server {
                 out.raw(SHUTDOWN_LINE);
                 return true;
             }
-            Ok(Request::Stats) => {
-                out.raw(&self.stats_json().to_string());
-                out.raw_char('\n');
-            }
-            Ok(Request::Health) => {
-                out.raw(&self.health_json().to_string());
-                out.raw_char('\n');
-            }
+            Ok(Request::Stats) => self.write_stats_line(out),
+            Ok(Request::Health) => self.write_health_line(out),
             Ok(Request::Host { host }) => match self.registry.host_days(host) {
                 Some(days) => write_host_line(out, host, days),
                 None => write_error_line(out, &RegistryError::UnknownHost(host)),
@@ -748,45 +754,39 @@ impl Server {
         }
     }
 
-    /// The `stats` reply document: registry counters, kernel-dedup
-    /// effectiveness, and the pooled-buffer high-water marks.
-    fn stats_json(&self) -> Json {
+    /// The `stats` reply: registry counters, kernel-dedup effectiveness,
+    /// and the pooled-buffer high-water marks.
+    // lint: no-alloc
+    fn write_stats_line(&self, out: &mut JsonWriter) {
         let stats = self.registry.stats();
         let hit_rate = if stats.kernel_dedup_lookups == 0 {
             0.0
         } else {
             stats.kernel_dedup_hits as f64 / stats.kernel_dedup_lookups as f64
         };
-        ok_reply(
-            "stats",
-            vec![
-                ("shards".into(), Json::U64(stats.shards as u64)),
-                ("hosts".into(), Json::U64(stats.hosts as u64)),
-                ("days".into(), Json::U64(stats.days as u64)),
-                ("log_records".into(), Json::U64(stats.log_records as u64)),
-                (
-                    "kernel_dedup_hits".into(),
-                    Json::U64(stats.kernel_dedup_hits),
-                ),
-                (
-                    "kernel_dedup_lookups".into(),
-                    Json::U64(stats.kernel_dedup_lookups),
-                ),
-                (
-                    "kernel_dedup_entries".into(),
-                    Json::U64(stats.kernel_dedup_entries as u64),
-                ),
-                ("kernel_dedup_hit_rate".into(), Json::F64(hit_rate)),
-                (
-                    "read_buf_hwm".into(),
-                    Json::U64(self.read_hwm.load(Ordering::Relaxed)),
-                ),
-                (
-                    "write_buf_hwm".into(),
-                    Json::U64(self.write_hwm.load(Ordering::Relaxed)),
-                ),
+        out.raw("{\"ok\":true,\"op\":\"stats\"");
+        write_u64_fields(
+            out,
+            &[
+                ("shards", stats.shards as u64),
+                ("hosts", stats.hosts as u64),
+                ("days", stats.days as u64),
+                ("log_records", stats.log_records as u64),
+                ("kernel_dedup_hits", stats.kernel_dedup_hits),
+                ("kernel_dedup_lookups", stats.kernel_dedup_lookups),
+                ("kernel_dedup_entries", stats.kernel_dedup_entries as u64),
             ],
-        )
+        );
+        out.raw(",\"kernel_dedup_hit_rate\":");
+        out.f64(hit_rate);
+        write_u64_fields(
+            out,
+            &[
+                ("read_buf_hwm", self.read_hwm.load(Ordering::Relaxed)),
+                ("write_buf_hwm", self.write_hwm.load(Ordering::Relaxed)),
+            ],
+        );
+        out.raw("}\n");
     }
 
     /// Whether predict replies for `host` must carry the degraded-quality
@@ -802,58 +802,41 @@ impl Server {
         degraded
     }
 
-    /// The `health` reply document: logical uptime (requests handled, not
-    /// wall clock — byte-stable under test), durability lag, poison and
+    /// The `health` reply: logical uptime (requests handled, not wall
+    /// clock — byte-stable under test), durability lag, poison and
     /// containment counters, connection accounting. What a load balancer
     /// or the chaos harness polls.
-    fn health_json(&self) -> Json {
+    // lint: no-alloc
+    fn write_health_line(&self, out: &mut JsonWriter) {
         let stats = self.registry.stats();
-        ok_reply(
-            "health",
-            vec![
-                (
-                    "uptime_ticks".into(),
-                    Json::U64(self.requests.load(Ordering::Relaxed)),
-                ),
-                ("shards".into(), Json::U64(stats.shards as u64)),
-                ("hosts".into(), Json::U64(stats.hosts as u64)),
-                ("durable".into(), Json::Bool(stats.durable)),
-                ("wal_records".into(), Json::U64(stats.wal_records)),
-                (
-                    "wal_synced_records".into(),
-                    Json::U64(stats.wal_synced_records),
-                ),
-                ("snapshot_lag".into(), Json::U64(stats.snapshot_lag)),
-                (
-                    "snapshots_written".into(),
-                    Json::U64(stats.snapshots_written),
-                ),
-                (
-                    "poisoned_shards".into(),
-                    Json::U64(stats.poisoned_shards as u64),
-                ),
-                (
-                    "degraded_predictions".into(),
-                    Json::U64(self.degraded_predictions.load(Ordering::Relaxed)),
-                ),
-                (
-                    "panics".into(),
-                    Json::U64(self.panics.load(Ordering::Relaxed)),
-                ),
-                (
-                    "active_connections".into(),
-                    Json::U64(self.active_connections.load(Ordering::Relaxed)),
-                ),
-                (
-                    "shed_connections".into(),
-                    Json::U64(self.shed_connections.load(Ordering::Relaxed)),
-                ),
-                (
-                    "oversize_lines".into(),
-                    Json::U64(self.oversize_lines.load(Ordering::Relaxed)),
-                ),
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        out.raw("{\"ok\":true,\"op\":\"health\"");
+        write_u64_fields(
+            out,
+            &[
+                ("uptime_ticks", load(&self.requests)),
+                ("shards", stats.shards as u64),
+                ("hosts", stats.hosts as u64),
             ],
-        )
+        );
+        out.raw(",\"durable\":");
+        out.bool(stats.durable);
+        write_u64_fields(
+            out,
+            &[
+                ("wal_records", stats.wal_records),
+                ("wal_synced_records", stats.wal_synced_records),
+                ("snapshot_lag", stats.snapshot_lag),
+                ("snapshots_written", stats.snapshots_written),
+                ("poisoned_shards", stats.poisoned_shards as u64),
+                ("degraded_predictions", load(&self.degraded_predictions)),
+                ("panics", load(&self.panics)),
+                ("active_connections", load(&self.active_connections)),
+                ("shed_connections", load(&self.shed_connections)),
+                ("oversize_lines", load(&self.oversize_lines)),
+            ],
+        );
+        out.raw("}\n");
     }
 
     /// Graceful-stop durability hook: fsync the WALs and write fresh
@@ -868,29 +851,48 @@ impl Server {
     /// Oneshot batch mode: handles request lines from `input` until EOF or
     /// a `shutdown` op, writing one reply line each to `output`. Returns
     /// whether a `shutdown` op was seen.
+    pub fn serve_lines(
+        &self,
+        mut input: impl BufRead,
+        mut output: impl Write,
+    ) -> std::io::Result<bool> {
+        let saw_shutdown = self.serve_stream(&mut input, &mut output)?;
+        self.finalize();
+        Ok(saw_shutdown)
+    }
+
+    /// The request loop both transports run: reads bounded lines from
+    /// `input`, answers each non-blank one and writes (and flushes) its
+    /// reply to `output`. Returns `Ok(true)` right after answering a
+    /// `shutdown` op, `Ok(false)` at EOF or when a read deadline expires —
+    /// a *clean* close: the peer idled past the timeout.
     ///
     /// One read buffer and one reply buffer serve the whole stream: both
     /// are cleared (capacity kept) between requests, so a warm request
     /// costs no per-line allocation — and the read buffer never grows past
     /// `max_line_bytes` (oversized lines are drained and answered with a
     /// structured `too_large` reply).
-    pub fn serve_lines(
-        &self,
-        mut input: impl BufRead,
-        mut output: impl Write,
-    ) -> std::io::Result<bool> {
+    fn serve_stream(&self, input: &mut impl BufRead, output: &mut impl Write) -> io::Result<bool> {
         let mut buf: Vec<u8> = Vec::new();
         let mut out = JsonWriter::new();
-        let mut saw_shutdown = false;
         loop {
             out.clear();
-            let shutdown = match read_bounded_line(&mut input, &mut buf, self.max_line_bytes)? {
-                LineRead::Eof => break,
-                LineRead::TooLarge => {
+            let shutdown = match read_bounded_line(input, &mut buf, self.max_line_bytes) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Ok(false)
+                }
+                Err(e) => return Err(e),
+                Ok(LineRead::Eof) => return Ok(false),
+                Ok(LineRead::TooLarge) => {
                     self.write_too_large(&mut out);
                     false
                 }
-                LineRead::Line => match std::str::from_utf8(&buf) {
+                Ok(LineRead::Line) => match std::str::from_utf8(&buf) {
                     Err(_) => {
                         out.raw(BAD_UTF8_LINE);
                         false
@@ -905,14 +907,11 @@ impl Server {
                 },
             };
             output.write_all(out.as_str().as_bytes())?;
+            output.flush()?;
             if shutdown {
-                saw_shutdown = true;
-                break;
+                return Ok(true);
             }
         }
-        output.flush()?;
-        self.finalize();
-        Ok(saw_shutdown)
     }
 
     /// Renders the `too_large` shed reply and counts the rejection.
@@ -968,56 +967,21 @@ impl Server {
         shutdown: &AtomicBool,
         addr: SocketAddr,
     ) -> std::io::Result<()> {
+        // Each reply leaves as soon as it is written: under Nagle, the
+        // second reply of a pipelined pair would wait for the peer's
+        // delayed ACK of the first (tens of milliseconds).
+        stream.set_nodelay(true)?;
         // Deadlines on both directions: a peer that stops sending *or*
         // stops draining replies releases this thread at the timeout.
         stream.set_read_timeout(self.read_timeout)?;
         stream.set_write_timeout(self.read_timeout)?;
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = stream;
-        let mut buf: Vec<u8> = Vec::new();
-        let mut out = JsonWriter::new();
-        loop {
-            out.clear();
-            let stop = match read_bounded_line(&mut reader, &mut buf, self.max_line_bytes) {
-                // Deadline expiry is a *clean* close, not an error: the
-                // peer idled past the read timeout.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    break
-                }
-                Err(e) => return Err(e),
-                Ok(LineRead::Eof) => break,
-                Ok(LineRead::TooLarge) => {
-                    self.write_too_large(&mut out);
-                    false
-                }
-                Ok(LineRead::Line) => match std::str::from_utf8(&buf) {
-                    Err(_) => {
-                        out.raw(BAD_UTF8_LINE);
-                        false
-                    }
-                    Ok(text) => {
-                        let trimmed = text.trim();
-                        if trimmed.is_empty() {
-                            continue;
-                        }
-                        self.handle_line_into(trimmed, &mut out)
-                    }
-                },
-            };
-            writer.write_all(out.as_str().as_bytes())?;
-            writer.flush()?;
-            if stop {
-                shutdown.store(true, Ordering::SeqCst);
-                // Unblock the accept loop; the flag makes it exit before
-                // serving the wake-up connection.
-                let _ = TcpStream::connect(addr);
-                break;
-            }
+        if self.serve_stream(&mut reader, &mut writer)? {
+            shutdown.store(true, Ordering::SeqCst);
+            // Unblock the accept loop; the flag makes it exit before
+            // serving the wake-up connection.
+            let _ = TcpStream::connect(addr);
         }
         Ok(())
     }
@@ -1149,15 +1113,6 @@ impl std::fmt::Debug for Server {
             )
             .finish_non_exhaustive()
     }
-}
-
-fn ok_reply(op: &str, rest: Vec<(String, Json)>) -> Json {
-    let mut pairs = vec![
-        ("ok".into(), Json::Bool(true)),
-        ("op".into(), Json::Str(op.into())),
-    ];
-    pairs.extend(rest);
-    Json::Obj(pairs)
 }
 
 /// Decodes a digit-per-sample state string (`'1'`–`'5'` for S1–S5), the
@@ -1638,6 +1593,99 @@ mod tests {
         assert!(write_hwm >= 50, "{}", stats.line);
     }
 
+    /// The `stats` and `health` bytes of a fixed durable session that
+    /// moves every counter they report except the connection counts,
+    /// pinned byte for byte: `ci.sh` and the wire benchmark parse them.
+    #[test]
+    fn stats_and_health_reply_bytes_are_pinned() {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("fgcs-serve-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = Server::open(&ServeConfig {
+            shards: 4,
+            data_dir: Some(dir.clone()),
+            snapshot_every: 3,
+            max_line_bytes: 20_000,
+            debug_ops: true,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let day: String = (0..14_400)
+            .map(|i| match i % 97 {
+                70..=89 => '2',
+                90..=93 => '3',
+                _ => '1',
+            })
+            .collect();
+        let mut input = String::new();
+        for host in [3, 11] {
+            for d in 0..4 {
+                input += &format!(
+                    "{{\"op\":\"ingest\",\"host\":{host},\"day_index\":{d},\"states\":\"{day}\"}}\n"
+                );
+            }
+        }
+        input += r#"{"op":"predict","host":3,"start":9.0,"hours":2.0}
+{"op":"predict","host":11,"start":9.0,"hours":2.0}
+{"op":"predict","host":3,"start":9.0,"hours":2.0,"init":"S2"}
+{"op":"sweep","host":3,"start":9.0,"hours":2.0,"points":4}
+{"op":"batch","ops":[{"op":"ping"},{"op":"predict","host":11,"start":13.0,"hours":1.0}]}
+not json
+{"op":"predict","host":99,"start":9.0,"hours":2.0}
+"#;
+        input += &"x".repeat(30_000);
+        input += "\n{\"op\":\"debug_panic\"}\n{\"op\":\"host\",\"host\":11}\n";
+        input += "{\"op\":\"stats\"}\n{\"op\":\"health\"}\n";
+        let mut out = Vec::new();
+        s.serve_lines(input.as_bytes(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let tail: Vec<&str> = text.lines().rev().take(2).collect();
+        assert_eq!(
+            tail[1],
+            "{\"ok\":true,\"op\":\"stats\",\"shards\":4,\"hosts\":2,\"days\":8,\"log_records\":8,\
+             \"kernel_dedup_hits\":1,\"kernel_dedup_lookups\":3,\"kernel_dedup_entries\":2,\
+             \"kernel_dedup_hit_rate\":0.3333333333333333,\"read_buf_hwm\":14451,\"write_buf_hwm\":253}"
+        );
+        assert_eq!(
+            tail[0],
+            "{\"ok\":true,\"op\":\"health\",\"uptime_ticks\":19,\"shards\":4,\"hosts\":2,\
+             \"durable\":true,\"wal_records\":8,\"wal_synced_records\":0,\"snapshot_lag\":2,\
+             \"snapshots_written\":2,\"poisoned_shards\":0,\"degraded_predictions\":0,\"panics\":1,\
+             \"active_connections\":0,\"shed_connections\":0,\"oversize_lines\":1}"
+        );
+
+        // Poison host 3's shard, then answer one degraded predict.
+        let shard = s.registry().shard_index(3);
+        std::thread::scope(|scope| {
+            let _ = scope
+                .spawn(|| {
+                    let _session = s.registry().session(shard);
+                    panic!("deliberate test panic while holding the shard lock");
+                })
+                .join();
+        });
+        let predict = s.handle_line(r#"{"op":"predict","host":3,"start":9.0,"hours":2.0}"#);
+        assert!(
+            predict.line.ends_with(",\"quality\":\"stale\"}"),
+            "{}",
+            predict.line
+        );
+        assert_eq!(
+            s.handle_line(r#"{"op":"stats"}"#).line,
+            "{\"ok\":true,\"op\":\"stats\",\"shards\":4,\"hosts\":2,\"days\":8,\"log_records\":8,\
+             \"kernel_dedup_hits\":1,\"kernel_dedup_lookups\":3,\"kernel_dedup_entries\":2,\
+             \"kernel_dedup_hit_rate\":0.3333333333333333,\"read_buf_hwm\":14451,\"write_buf_hwm\":277}"
+        );
+        assert_eq!(
+            s.handle_line(r#"{"op":"health"}"#).line,
+            "{\"ok\":true,\"op\":\"health\",\"uptime_ticks\":22,\"shards\":4,\"hosts\":2,\
+             \"durable\":true,\"wal_records\":8,\"wal_synced_records\":8,\"snapshot_lag\":0,\
+             \"snapshots_written\":6,\"poisoned_shards\":1,\"degraded_predictions\":1,\"panics\":1,\
+             \"active_connections\":0,\"shed_connections\":0,\"oversize_lines\":1}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn oversized_lines_get_structured_reply_and_session_continues() {
         let s = Server::open(&ServeConfig {
@@ -1917,6 +1965,49 @@ mod tests {
             line.clear();
             reader.read_line(&mut line).unwrap();
             handle.join().unwrap().unwrap();
+        });
+    }
+
+    #[test]
+    fn pipelined_replies_are_not_held_back_by_nagle() {
+        let s = server();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| s.serve_tcp(&listener));
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let mut line = String::new();
+            // Lockstep warm-up: past the connection's initial quick-ACK
+            // phase, the client delays its ACKs.
+            for _ in 0..40 {
+                writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+            }
+            // Two pings per write: the second reply follows the first
+            // while it is still unacknowledged.
+            let mut waits = Vec::new();
+            for _ in 0..10 {
+                writer
+                    .write_all(b"{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n")
+                    .unwrap();
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                let second = std::time::Instant::now();
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                assert_eq!(line, PING_LINE);
+                waits.push(second.elapsed());
+            }
+            writer.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            handle.join().unwrap().unwrap();
+            waits.sort();
+            assert!(waits[5] < Duration::from_millis(20), "{waits:?}");
         });
     }
 

@@ -7,7 +7,9 @@
 //! [`Server::handle_line_into`] must not touch the allocator at all: the
 //! request line is scanned in place ([`JsonSlice`]), the answer comes from
 //! the per-kernel solve memo, and the reply is formatted into the pooled
-//! [`JsonWriter`]. `ping` gets the same guarantee for free.
+//! [`JsonWriter`]. `ping` gets the same guarantee for free, and so do the
+//! `stats` and `health` counter replies, which are written field by field
+//! into the same pooled buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -158,4 +160,33 @@ fn warm_error_replies_do_not_allocate_for_borrowed_errors() {
         }
     });
     assert_eq!(allocs, 0, "borrowed field errors must not allocate");
+}
+
+/// Handles `req` once to warm the reply buffer, then 100 more times under
+/// the allocation counter, checking each reply still starts with `prefix`.
+fn warm_allocations(s: &Server, req: &str, prefix: &str) -> u64 {
+    let mut out = JsonWriter::new();
+    assert!(!s.handle_line_into(req, &mut out));
+    let ((), allocs) = count_allocations(|| {
+        for _ in 0..100 {
+            out.clear();
+            assert!(!s.handle_line_into(req, &mut out));
+            assert!(out.as_str().starts_with(prefix), "{}", out.as_str());
+        }
+    });
+    allocs
+}
+
+#[test]
+fn warm_stats_requests_do_not_allocate() {
+    let s = warm_server();
+    let allocs = warm_allocations(&s, r#"{"op":"stats"}"#, r#"{"ok":true,"op":"stats","#);
+    assert_eq!(allocs, 0, "warm stats requests must not allocate");
+}
+
+#[test]
+fn warm_health_requests_do_not_allocate() {
+    let s = warm_server();
+    let allocs = warm_allocations(&s, r#"{"op":"health"}"#, r#"{"ok":true,"op":"health","#);
+    assert_eq!(allocs, 0, "warm health requests must not allocate");
 }
