@@ -107,16 +107,27 @@ grep -q '"log_records":10' "$serve_tmp/tcp_out.jsonl" || {
   exit 1
 }
 echo "== serve throughput smoke: pipelined batch stream == sequential bytes, ops/sec floor"
-# The same op stream (10 ingests + 2000 predicts) sent two ways against two
+# The same op stream (10 ingests + 2400 predicts) sent two ways against two
 # fresh servers: as individual lines, and as 40-op `batch` requests
 # pipelined over one TCP connection. The reply streams must be
 # byte-identical, and the batched run must clear a conservative
 # throughput floor (catastrophic-regression tripwire, not a benchmark).
+# The last 400 predicts repeat each coordinate four times with alternating
+# `S1`/`S2` inits, so batches hold same-coordinate predicts of both inits
+# (each coordinate's first predict is a cold kernel build and solve).
 awk 'BEGIN { for (i = 0; i < 2000; i++) {
   start = 6 + (i % 4) * 3;
   printf "{\"op\":\"predict\",\"host\":1,\"start\":%d.0,\"hours\":2.0}\n", start;
 } }' > "$serve_tmp/predicts.jsonl"
-cat "$serve_tmp/reqs.jsonl" "$serve_tmp/predicts.jsonl" > "$serve_tmp/seq_in.jsonl"
+awk 'BEGIN { for (i = 0; i < 400; i++) {
+  c = int(i / 4);
+  start = 7 + (c % 5) * 2;
+  hours = (c % 2 == 0) ? "1.0" : "2.5";
+  init = (i % 2 == 0) ? "S1" : "S2";
+  printf "{\"op\":\"predict\",\"host\":1,\"start\":%d.0,\"hours\":%s,\"init\":\"%s\"}\n", start, hours, init;
+} }' > "$serve_tmp/repeat_predicts.jsonl"
+cat "$serve_tmp/reqs.jsonl" "$serve_tmp/predicts.jsonl" "$serve_tmp/repeat_predicts.jsonl" \
+  > "$serve_tmp/seq_in.jsonl"
 awk 'NR % 40 == 1 { if (NR > 1) print out "]}"; out = "{\"op\":\"batch\",\"ops\":[" $0; next }
      { out = out "," $0 }
      END { if (out != "") print out "]}" }' \

@@ -127,17 +127,18 @@ const CLUSTER_HOSTS: u64 = 1000;
 const SERVE_INGEST_P99_GATE_NS: f64 = 150_000.0;
 
 /// Absolute p99 gate on TR queries in the 10k-host serving smoke
-/// (`cluster_serve_10k/query_p99_ns`), at `machine_factor` 1.0. With the
-/// registry's per-kernel solve memo a p99 query is a content-hash probe +
-/// memo hit even on a cold coordinate that shares its kernel, so the gate
-/// tightened ~12x when the zero-allocation serve path landed.
+/// (`cluster_serve_10k/query_p99_ns`), at `machine_factor` 1.0. The
+/// kernel memoizes its own full-horizon solve, so a p99 query is a
+/// content-hash probe + memo read even on a cold coordinate that shares
+/// its kernel; the gate tightened ~12x when the zero-allocation serve path
+/// landed.
 const SERVE_QUERY_P99_GATE_NS: f64 = 84_000.0;
 
 /// Absolute gate on the 1000-host scheduling sweep
 /// (`cluster_sweep_1k_hosts`), at `machine_factor` 1.0. Cross-host kernel
-/// dedup means identical hosts collapse to one solve plus O(1) memo hits
-/// per remaining host; the whole sweep must finish well under the cost of
-/// 1000 independent solves.
+/// dedup means identical hosts share one kernel, and with it the kernel's
+/// one memoized solve, so every remaining host is an O(1) memo read; the
+/// whole sweep must finish well under the cost of 1000 independent solves.
 const CLUSTER_SWEEP_GATE_NS: f64 = 27_000_000.0;
 
 fn main() -> ExitCode {

@@ -26,22 +26,6 @@ use crate::window::{DayType, TimeWindow};
 /// the stripe, so shards interning concurrently rarely contend).
 const DEDUP_STRIPES: usize = 16;
 
-/// One interned kernel: a weak handle to the canonical `Arc` plus the
-/// per-kernel solve memo.
-///
-/// The `Weak` never keeps the params alive (interning must not leak
-/// kernels past their last consumer), but it *does* keep the `ArcInner`
-/// allocation alive — so comparing `weak.as_ptr()` against a live `Arc`'s
-/// pointer identifies the same object without an upgrade, and a recycled
-/// address can never alias a dead entry.
-struct DedupEntry {
-    weak: Weak<SmpParams>,
-    /// Memoized scalar solves for the canonical kernel, keyed by the
-    /// caller-encoded `(steps, init)` word. Only successful solves
-    /// are stored, so a hit is always a previously returned value.
-    memo: HashMap<u64, f64>,
-}
-
 /// Registry-level content-addressed interning of [`SmpParams`].
 ///
 /// At fleet scale many hosts exhibit the same availability class — in the
@@ -50,17 +34,18 @@ struct DedupEntry {
 /// to a canonical `Arc` by content hash (FNV over the sparse solver view,
 /// see [`SmpParams::content_hash`]) with full [`PartialEq`] fallback on
 /// hash match: a collision costs one comparison, never a wrong share.
-/// Because every consumer then holds the *same* `Arc`, per-kernel solve
-/// results can be memoized once and served to every host that shares the
-/// kernel — this is what collapses a 1 000-host cluster sweep over a
-/// shared history into one solve plus 999 table hits.
+/// Because every consumer then holds the *same* `Arc`, the kernel's own
+/// solve memo (`SmpParams::horizon_tr`) is shared by every host that
+/// shares the kernel — this is what collapses a 1 000-host cluster sweep
+/// over a shared history into one solve plus 999 memo reads.
 ///
-/// Entries hold only `Weak` handles: dropping the last consumer (e.g.
-/// [`QhCache::invalidate_host`] or LRU eviction) makes the entry dead, and
-/// [`purge_dead`](KernelDedup::purge_dead) sweeps it out.
+/// Entries hold only `Weak` handles, which never keep a kernel alive:
+/// dropping the last consumer makes the entry dead. [`QhCache`] eviction
+/// prunes the evicted kernel's bucket, and
+/// [`purge_dead`](KernelDedup::purge_dead) sweeps the whole table.
 #[derive(Default)]
 pub struct KernelDedup {
-    stripes: [Mutex<HashMap<u64, Vec<DedupEntry>>>; DEDUP_STRIPES],
+    stripes: [Mutex<HashMap<u64, Vec<Weak<SmpParams>>>>; DEDUP_STRIPES],
     hits: AtomicU64,
     lookups: AtomicU64,
 }
@@ -88,9 +73,9 @@ impl KernelDedup {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut stripe = self.stripe(hash);
         let bucket = stripe.entry(hash).or_default();
-        bucket.retain(|e| e.weak.strong_count() > 0);
+        bucket.retain(|e| e.strong_count() > 0);
         for entry in bucket.iter() {
-            if let Some(existing) = entry.weak.upgrade() {
+            if let Some(existing) = entry.upgrade() {
                 // Hash match is a hint; only full content equality may
                 // substitute one kernel for another.
                 if *existing == *params {
@@ -100,41 +85,20 @@ impl KernelDedup {
                 }
             }
         }
-        bucket.push(DedupEntry {
-            weak: Arc::downgrade(&params),
-            memo: HashMap::new(),
-        });
+        bucket.push(Arc::downgrade(&params));
         params
     }
 
-    /// The memoized solve result for `(params, key)`, if the canonical
-    /// kernel has one. `params` must be the canonical `Arc` returned by
-    /// [`intern`](KernelDedup::intern) for hits to be found.
-    #[must_use]
-    pub fn memo_get(&self, params: &Arc<SmpParams>, key: u64) -> Option<f64> {
-        let hash = params.content_hash();
-        let stripe = self.stripe(hash);
-        let bucket = stripe.get(&hash)?;
-        let ptr = Arc::as_ptr(params);
-        bucket
-            .iter()
-            .find(|e| e.weak.as_ptr() == ptr)?
-            .memo
-            .get(&key)
-            .copied()
-    }
-
-    /// Records a solve result for `(params, key)`. A no-op when `params`
-    /// was never interned (nothing to attach the memo to).
-    pub fn memo_put(&self, params: &Arc<SmpParams>, key: u64, value: f64) {
-        let hash = params.content_hash();
+    /// Drops the dead entries in the bucket for content hash `hash` — the
+    /// bucket an evicted kernel lived in, so eviction does not leave a
+    /// dead entry behind. Live kernels in the bucket are kept.
+    fn prune(&self, hash: u64) {
         let mut stripe = self.stripe(hash);
-        let Some(bucket) = stripe.get_mut(&hash) else {
-            return;
-        };
-        let ptr = Arc::as_ptr(params);
-        if let Some(entry) = bucket.iter_mut().find(|e| e.weak.as_ptr() == ptr) {
-            entry.memo.insert(key, value);
+        if let Some(bucket) = stripe.get_mut(&hash) {
+            bucket.retain(|e| e.strong_count() > 0);
+            if bucket.is_empty() {
+                stripe.remove(&hash);
+            }
         }
     }
 
@@ -147,7 +111,7 @@ impl KernelDedup {
             let mut map = stripe.lock().expect("KernelDedup stripe poisoned");
             map.retain(|_, bucket| {
                 let before = bucket.len();
-                bucket.retain(|e| e.weak.strong_count() > 0);
+                bucket.retain(|e| e.strong_count() > 0);
                 removed += before - bucket.len();
                 !bucket.is_empty()
             });
@@ -166,7 +130,7 @@ impl KernelDedup {
                     .expect("KernelDedup stripe poisoned")
                     .values()
                     .flat_map(|bucket| bucket.iter())
-                    .filter(|e| e.weak.strong_count() > 0)
+                    .filter(|e| e.strong_count() > 0)
                     .count()
             })
             .sum()
@@ -184,7 +148,7 @@ impl KernelDedup {
         self.lookups.load(Ordering::Relaxed)
     }
 
-    fn stripe(&self, hash: u64) -> std::sync::MutexGuard<'_, HashMap<u64, Vec<DedupEntry>>> {
+    fn stripe(&self, hash: u64) -> std::sync::MutexGuard<'_, HashMap<u64, Vec<Weak<SmpParams>>>> {
         self.stripes[(hash as usize) & (DEDUP_STRIPES - 1)]
             .lock()
             .expect("KernelDedup stripe poisoned")
@@ -253,12 +217,6 @@ impl QhCache {
         }
     }
 
-    /// The dedup table every miss interns through.
-    #[must_use]
-    pub fn dedup(&self) -> &Arc<KernelDedup> {
-        &self.dedup
-    }
-
     /// Returns the cached kernel for the query coordinates, estimating and
     /// inserting it on a miss. Hits return the *same* parameters the first
     /// estimation produced, bit for bit.
@@ -323,11 +281,20 @@ impl QhCache {
         // content-equal kernel (when one is alive), so hosts with identical
         // Q/H windows share one `Arc` — and one solve memo.
         let params = self.dedup.intern(compute()?);
-        let mut cache = self.lock();
-        if cache.put(key, Arc::clone(&params)).is_some() {
+        let evicted = {
+            let mut cache = self.lock();
+            let evicted = cache.put(key, Arc::clone(&params));
+            fgcs_runtime::gauge_set!("core.qh_cache.entries", cache.len() as f64);
+            evicted
+        };
+        if let Some((_, old)) = evicted {
             fgcs_runtime::counter_add!("core.qh_cache.evictions", 1);
+            // Release the cache's reference first: if it was the kernel's
+            // last consumer, its dedup entry is now dead and pruned.
+            let hash = old.content_hash();
+            drop(old);
+            self.dedup.prune(hash);
         }
-        fgcs_runtime::gauge_set!("core.qh_cache.entries", cache.len() as f64);
         Ok(params)
     }
 
@@ -374,7 +341,7 @@ impl QhCache {
         let dropped = self.lock().remove_if(|k| k.host == host);
         fgcs_runtime::counter_add!("core.qh_cache.invalidations", dropped as u64);
         // Kernels that only this host referenced are now dead; sweep their
-        // dedup entries (and memos) so stale solves cannot be served.
+        // dedup entries.
         self.dedup.purge_dead();
         dropped
     }
@@ -649,27 +616,10 @@ mod tests {
     }
 
     #[test]
-    fn dedup_memo_round_trips_per_canonical_kernel() {
-        let dedup = KernelDedup::new();
-        let (a, b) = equal_params();
-        let canon = dedup.intern(Arc::clone(&a));
-        assert_eq!(dedup.memo_get(&canon, 7), None);
-        dedup.memo_put(&canon, 7, 0.8125);
-        assert_eq!(dedup.memo_get(&canon, 7), Some(0.8125));
-        assert_eq!(dedup.memo_get(&canon, 8), None, "key is part of the memo");
-        // The memo is addressed by the canonical Arc: a content-equal but
-        // un-interned Arc neither hits nor corrupts it.
-        assert_eq!(dedup.memo_get(&b, 7), None);
-        dedup.memo_put(&b, 7, 0.5);
-        assert_eq!(dedup.memo_get(&canon, 7), Some(0.8125));
-    }
-
-    #[test]
     fn dedup_entries_die_with_their_last_consumer() {
         let dedup = KernelDedup::new();
         let (a, _) = equal_params();
         let canon = dedup.intern(Arc::clone(&a));
-        dedup.memo_put(&canon, 1, 0.25);
         assert_eq!(dedup.entries(), 1);
         drop(canon);
         drop(a);
@@ -694,14 +644,44 @@ mod tests {
             .get_or_estimate(&p, 2, &history, DayType::Weekday, w)
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b), "identical histories share a kernel");
-        assert_eq!(cache.dedup().entries(), 1);
-        assert_eq!(cache.dedup().hits(), 1);
+        assert_eq!(cache.dedup.entries(), 1);
+        assert_eq!(cache.dedup.hits(), 1);
         drop(a);
         drop(b);
         cache.invalidate_host(1);
-        assert_eq!(cache.dedup().entries(), 1, "host 2 still holds the Arc");
+        assert_eq!(cache.dedup.entries(), 1, "host 2 still holds the Arc");
         cache.invalidate_host(2);
-        assert_eq!(cache.dedup().entries(), 0, "last consumer gone");
+        assert_eq!(cache.dedup.entries(), 0, "last consumer gone");
+    }
+
+    /// Stored dedup entries, live and dead alike.
+    fn stored(dedup: &KernelDedup) -> usize {
+        dedup
+            .stripes
+            .iter()
+            .map(|s| s.lock().unwrap().values().map(Vec::len).sum::<usize>())
+            .sum()
+    }
+
+    #[test]
+    fn eviction_prunes_the_evicted_kernels_dedup_entry() {
+        // Each appended day is a new cache key and a new kernel, so every
+        // insert past the capacity evicts the only consumer of an older
+        // kernel. Its dedup entry must go with it.
+        let cache = QhCache::new(2);
+        let p = predictor();
+        let w = TimeWindow::new(0, 600);
+        for days in 1..=50 {
+            cache
+                .get_or_estimate(&p, 1, &store(days), DayType::Weekday, w)
+                .unwrap();
+            let stored = stored(&cache.dedup);
+            assert!(
+                stored <= cache.capacity(),
+                "{stored} dedup entries after {days} histories"
+            );
+        }
+        assert_eq!(cache.dedup.entries(), 2);
     }
 
     #[test]

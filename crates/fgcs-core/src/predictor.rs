@@ -139,13 +139,12 @@ impl SmpPredictor {
     /// the same (host, window, day-class, history) skip the Q/H estimation
     /// entirely and produce the same TR bit for bit.
     ///
-    /// Scalar solves are additionally memoized per *canonical kernel* in
-    /// the cache's [dedup table](crate::cache::KernelDedup): when many
-    /// hosts share one interned kernel (a fleet with a handful of
-    /// availability classes), the Eq.-3 recursion runs once per
-    /// `(kernel, init, steps)` and every other host reads the stored value
-    /// — the same bits the solve would have produced, since the solver is a
-    /// deterministic function of exactly those inputs.
+    /// Scalar solves are additionally memoized on the kernel itself
+    /// (`SmpParams::horizon_tr`): a cached kernel's horizon is the
+    /// window's step count, so its one memoized recursion answers both
+    /// operational initial states, and every host sharing the interned
+    /// kernel (a fleet with a handful of availability classes) reads the
+    /// same bits.
     pub fn predict_cached(
         &self,
         cache: &QhCache,
@@ -161,14 +160,11 @@ impl SmpPredictor {
         let _span = fgcs_runtime::time_span!("core.tr_query_ns");
         fgcs_runtime::counter_add!("core.tr_queries", 1);
         let params = cache.get_or_estimate(self, host, history, day_type, window)?;
-        let steps = window.steps(self.model.monitor_period_secs);
-        let key = solve_memo_key(init, steps);
-        if let Some(tr) = cache.dedup().memo_get(&params, key) {
-            return Ok(tr);
-        }
-        let tr = FastSolver::new(&params).temporal_reliability(init, steps)?;
-        cache.dedup().memo_put(&params, key, tr);
-        Ok(tr)
+        debug_assert_eq!(
+            window.steps(self.model.monitor_period_secs),
+            params.horizon()
+        );
+        params.horizon_tr(init)
     }
 
     /// Predicts the full temporal-reliability curve `TR(m)` over the window
@@ -256,20 +252,6 @@ impl SmpPredictor {
         let steps = window.steps(self.model.monitor_period_secs);
         FastSolver::new(&params).reliability_curve(init, steps)
     }
-}
-
-/// Encodes the full input of a scalar solve — everything besides the kernel
-/// itself — into one word for the per-kernel solve memo: the step count in
-/// the high bits, the initial state in the low three bits.
-pub(crate) fn solve_memo_key(init: State, steps: usize) -> u64 {
-    let state_bits = match init {
-        State::S1 => 0u64,
-        State::S2 => 1,
-        State::S3 => 2,
-        State::S4 => 3,
-        State::S5 => 4,
-    };
-    ((steps as u64) << 3) | state_bits
 }
 
 /// A temporal-reliability prediction with bootstrap uncertainty.
@@ -716,9 +698,9 @@ mod tests {
         let first = p
             .predict_cached(&cache, 1, &store, DayType::Weekday, w, S1)
             .unwrap();
-        // Second call is served from the solve memo; a second *host* with
-        // the same history shares the canonical kernel and hits the same
-        // memo entry.
+        // Second call is served from the kernel's solve memo; a second
+        // *host* with the same history shares the canonical kernel and
+        // reads the same memo.
         let memoized = p
             .predict_cached(&cache, 1, &store, DayType::Weekday, w, S1)
             .unwrap();
@@ -728,22 +710,12 @@ mod tests {
         assert_eq!(direct.to_bits(), first.to_bits());
         assert_eq!(direct.to_bits(), memoized.to_bits());
         assert_eq!(direct.to_bits(), other_host.to_bits());
-        // Different init / steps use different memo slots.
+        // The other operational init reads the same memoized solve.
         let s2 = p
             .predict_cached(&cache, 1, &store, DayType::Weekday, w, S2)
             .unwrap();
         let s2_direct = p.predict(&store, DayType::Weekday, w, S2).unwrap();
         assert_eq!(s2.to_bits(), s2_direct.to_bits());
-    }
-
-    #[test]
-    fn solve_memo_keys_are_injective_over_inputs() {
-        let mut seen = std::collections::HashSet::new();
-        for steps in [0usize, 1, 7, 1200] {
-            for init in [S1, S2, S3, S4, S5] {
-                assert!(seen.insert(solve_memo_key(init, steps)));
-            }
-        }
     }
 
     #[test]

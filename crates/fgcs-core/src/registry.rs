@@ -60,7 +60,7 @@ use crate::cache::{KernelDedup, QhCache};
 use crate::error::CoreError;
 use crate::log::{DayLog, HistoryStore, StateLog};
 use crate::model::AvailabilityModel;
-use crate::predictor::{solve_memo_key, SmpPredictor};
+use crate::predictor::SmpPredictor;
 use crate::smp::{FastSolver, IncrementalEstimator, SmpParams};
 use crate::state::State;
 use crate::window::{DayType, TimeWindow};
@@ -275,8 +275,8 @@ pub struct ShardedRegistry {
     model: AvailabilityModel,
     /// One dedup table shared by every shard's kernel cache: hosts with
     /// identical Q/H windows resolve to one canonical `Arc<SmpParams>`
-    /// regardless of which shard they live on, and scalar solves are
-    /// memoized once per canonical kernel.
+    /// regardless of which shard they live on, and so share the kernel's
+    /// memoized scalar solve.
     dedup: Arc<KernelDedup>,
     /// Snapshot cadence in WAL records per shard (0 = explicit only).
     snapshot_every: u64,
@@ -480,17 +480,7 @@ impl ShardedRegistry {
         }
         fgcs_runtime::counter_add!("core.registry.queries", 1);
         let params = self.params_for_locked(shard, host, day_type, window)?;
-        let steps = window.steps(self.model.monitor_period_secs);
-        // Per-kernel solve memo: hosts sharing the canonical kernel pay the
-        // Eq.-3 recursion once per (init, steps) and read the stored bits
-        // afterwards.
-        let key = solve_memo_key(init, steps);
-        if let Some(tr) = self.dedup.memo_get(&params, key) {
-            return Ok(tr);
-        }
-        let tr = FastSolver::new(&params).temporal_reliability(init, steps)?;
-        self.dedup.memo_put(&params, key, tr);
-        Ok(tr)
+        Ok(params.horizon_tr(init)?)
     }
 
     /// Predicts the full TR curve (both operational initial states) for
@@ -520,13 +510,10 @@ impl ShardedRegistry {
     }
 
     /// Answers several predict ops for one `(host, day_type, window)` from
-    /// a single batched recursion: the Eq.-3 curve is prefix-closed (see
-    /// [`crate::batch`]), so one run at the window's full horizon yields
-    /// every requested value bit-identically to independent
-    /// [`predict`](ShardedRegistry::predict) calls — including the error
+    /// one kernel lookup, each slot bit-identical to an independent
+    /// [`predict`](ShardedRegistry::predict) call — including the error
     /// cases (a failure init errors in its own slot without poisoning the
-    /// rest). Solved values are fed into the per-kernel memo, so later
-    /// scalar queries hit it too.
+    /// rest). The kernel's memoized solve answers every init.
     fn predict_many_locked(
         &self,
         shard: &mut Shard,
@@ -535,58 +522,16 @@ impl ShardedRegistry {
         window: TimeWindow,
         inits: &[State],
     ) -> Vec<Result<f64, RegistryError>> {
-        let steps = window.steps(self.model.monitor_period_secs);
         fgcs_runtime::counter_add!("core.registry.queries", inits.len() as u64);
-        let params = match self.params_for_locked(shard, host, day_type, window) {
-            Ok(p) => p,
-            Err(e) => {
-                return inits
-                    .iter()
-                    .map(|&init| {
-                        if init.is_failure() {
-                            // predict() checks the init before estimating.
-                            Err(CoreError::FailureInitialState(init).into())
-                        } else {
-                            Err(e.clone())
-                        }
-                    })
-                    .collect();
-            }
-        };
-        let mut out: Vec<Option<Result<f64, RegistryError>>> = inits
+        let params = self.params_for_locked(shard, host, day_type, window);
+        inits
             .iter()
-            .map(|&init| {
-                if init.is_failure() {
-                    return Some(Err(CoreError::FailureInitialState(init).into()));
-                }
-                self.dedup
-                    .memo_get(&params, solve_memo_key(init, steps))
-                    .map(Ok)
+            .map(|&init| match &params {
+                Ok(p) => Ok(p.horizon_tr(init)?),
+                // predict() checks the init before estimating.
+                Err(_) if init.is_failure() => Err(CoreError::FailureInitialState(init).into()),
+                Err(e) => Err(e.clone()),
             })
-            .collect();
-        if out.iter().any(Option::is_none) {
-            // At least one value is not memoized: one curve run answers
-            // every remaining init at once.
-            let curve = FastSolver::new(&params).tr_curve(steps);
-            for (&init, slot) in inits.iter().zip(&mut out) {
-                if slot.is_some() {
-                    continue;
-                }
-                *slot = Some(match &curve {
-                    Ok(c) => match c.tr(init, steps) {
-                        Ok(tr) => {
-                            self.dedup
-                                .memo_put(&params, solve_memo_key(init, steps), tr);
-                            Ok(tr)
-                        }
-                        Err(e) => Err(e.clone().into()),
-                    },
-                    Err(e) => Err(e.clone().into()),
-                });
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every init answered"))
             .collect()
     }
 
@@ -722,6 +667,7 @@ impl ShardedRegistry {
                         }
                     }
                 })?;
+        debug_assert_eq!(window.steps(step), params.horizon());
         Ok(params)
     }
 
@@ -856,7 +802,7 @@ impl ShardedRegistry {
                 buf.u64(day.day_index as u64);
                 buf.raw(",\"s\":\"");
                 for s in day.log.states() {
-                    buf.raw_char(char::from(b'1' + s.index() as u8));
+                    buf.raw_char(s.digit());
                 }
                 buf.raw("\"}");
             }
@@ -962,7 +908,7 @@ fn encode_wal_record(buf: &mut JsonWriter, host: u64, day_index: usize, states: 
     buf.u64(day_index as u64);
     buf.raw(",\"states\":\"");
     for s in states {
-        buf.raw_char(char::from(b'1' + s.index() as u8));
+        buf.raw_char(s.digit());
     }
     buf.raw("\"}");
 }
@@ -972,10 +918,7 @@ fn encode_wal_record(buf: &mut JsonWriter, host: u64, day_index: usize, states: 
 fn decode_state_digits(digits: &str) -> Result<Vec<State>, ()> {
     digits
         .bytes()
-        .map(|b| match b {
-            b'1'..=b'5' => Ok(State::from_index((b - b'1') as usize)),
-            _ => Err(()),
-        })
+        .map(|b| State::from_digit(b).ok_or(()))
         .collect()
 }
 
@@ -1086,8 +1029,8 @@ impl ShardSession<'_> {
             .predict_locked(&mut self.guard, host, day_type, window, init)
     }
 
-    /// Several predicts for one `(host, day_type, window)` answered from a
-    /// single batched recursion run, each slot bit-identical to
+    /// Several predicts for one `(host, day_type, window)` answered from
+    /// one kernel lookup, each slot bit-identical to
     /// [`predict`](ShardSession::predict).
     pub fn predict_many(
         &mut self,

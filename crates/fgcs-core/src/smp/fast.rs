@@ -158,6 +158,12 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SolveScratch) -> R) -> R {
     })
 }
 
+/// `TR = 1 − Σ_j P_{init,j}`, clamped to `[0, 1]`, for an operational
+/// `init` — the one formula every scalar TR answer goes through.
+pub(crate) fn tr_from_probs(probs: &IntervalProbs, init: State) -> f64 {
+    (1.0 - probs.failure_probability(init)).clamp(0.0, 1.0)
+}
+
 /// The fast Eq.-3 solver over a precomputed [`SmpParams`] kernel view.
 ///
 /// Construction is free (the event lists and prefix sums already live in
@@ -257,7 +263,7 @@ impl<'a> FastSolver<'a> {
             return Err(CoreError::FailureInitialState(init));
         }
         let probs = self.interval_probabilities_with(scratch, steps)?;
-        Ok((1.0 - probs.failure_probability(init)).clamp(0.0, 1.0))
+        Ok(tr_from_probs(&probs, init))
     }
 
     /// Temporal reliability with the thread-local scratch.

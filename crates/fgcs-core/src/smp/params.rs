@@ -34,7 +34,11 @@ use std::sync::OnceLock;
 
 use fgcs_runtime::json::{FromJson, Json, JsonError, ToJson};
 
+use crate::error::CoreError;
 use crate::state::State;
+
+use super::fast::{tr_from_probs, FastSolver};
+use super::solver::IntervalProbs;
 
 /// Index of the kernel's source states: 0 → S1, 1 → S2.
 const SOURCES: [State; 2] = [State::S1, State::S2];
@@ -163,12 +167,17 @@ pub struct SmpParams {
     /// Lazy FNV-1a content hash (the kernel-dedup lookup key). Derived, so
     /// excluded from equality and serialization.
     hash: OnceLock<u64>,
+    /// Lazy full-horizon solve: the six interval probabilities at
+    /// `horizon` (paper Eq. 3), which answer TR from both operational
+    /// initial states. Derived like `hash`.
+    horizon_probs: OnceLock<IntervalProbs>,
 }
 
 // Manual equality over the content fields only. `solver` is a pure function
-// of `(kernel, horizon)` and `hash` is a lazy memo — including either would
-// make content-equal values compare unequal depending on what has been
-// computed so far (`OnceLock` equality compares `get()` results).
+// of `(kernel, horizon)`; `hash` and `horizon_probs` are lazy memos —
+// including any of them would make content-equal values compare unequal
+// depending on what has been computed so far (`OnceLock` equality compares
+// `get()` results).
 impl PartialEq for SmpParams {
     fn eq(&self, other: &SmpParams) -> bool {
         self.step_secs == other.step_secs
@@ -450,6 +459,7 @@ impl SojournAccumulator {
             sojourns,
             solver,
             hash: OnceLock::new(),
+            horizon_probs: OnceLock::new(),
         }
     }
 }
@@ -583,6 +593,7 @@ impl SmpParams {
             sojourns,
             solver,
             hash: OnceLock::new(),
+            horizon_probs: OnceLock::new(),
         }
     }
 
@@ -622,6 +633,24 @@ impl SmpParams {
             }
             h
         })
+    }
+
+    /// Temporal reliability over the kernel's full horizon from `init` —
+    /// bit-identical to `FastSolver::temporal_reliability(init,
+    /// horizon)`. The first call runs the recursion once and memoizes its
+    /// six interval probabilities, so both operational initial states, and
+    /// every host sharing this (interned) kernel, pay one solve between
+    /// them.
+    pub(crate) fn horizon_tr(&self, init: State) -> Result<f64, CoreError> {
+        if init.is_failure() {
+            return Err(CoreError::FailureInitialState(init));
+        }
+        let probs = self.horizon_probs.get_or_init(|| {
+            FastSolver::new(self)
+                .interval_probabilities(self.horizon)
+                .expect("a kernel resolves its own horizon")
+        });
+        Ok(tr_from_probs(probs, init))
     }
 }
 
@@ -892,6 +921,105 @@ mod tests {
         let back: SmpParams = fgcs_runtime::json::from_str(&text).unwrap();
         assert_eq!(a, back);
         assert_eq!(a.content_hash(), back.content_hash());
+    }
+
+    /// Kernels of different shapes: a churny S1/S2 day, a day that fails
+    /// into S3 and S5, a recent-history mix of both, and a hand-built
+    /// kernel with mass on every target.
+    fn memo_kernels() -> Vec<SmpParams> {
+        let churn: Vec<State> = (0..60).map(|i| if i % 9 < 6 { S1 } else { S2 }).collect();
+        let failing: Vec<State> = (0..60)
+            .map(|i| match i % 17 {
+                0..=9 => S1,
+                10..=14 => S2,
+                15 => S3,
+                _ => S5,
+            })
+            .collect();
+        let mut fixed: [[Vec<f64>; 4]; 2] = Default::default();
+        for (i, row) in fixed.iter_mut().enumerate() {
+            for (k, col) in row.iter_mut().enumerate() {
+                *col = (0..=12)
+                    .map(|l| {
+                        if l > 0 {
+                            0.01 * (1 + i + k) as f64 / l as f64
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+            }
+        }
+        vec![
+            SmpParams::estimate(&[&churn], 6, 59),
+            SmpParams::estimate(&[&failing], 6, 59),
+            SmpParams::estimate(&[&churn, &failing, &churn[7..]], 6, 40),
+            SmpParams::from_kernel(6, fixed),
+        ]
+    }
+
+    #[test]
+    fn horizon_tr_is_the_fast_solve_bit_for_bit() {
+        for p in memo_kernels() {
+            let fast = FastSolver::new(&p);
+            for init in State::OPERATIONAL {
+                let want = fast.temporal_reliability(init, p.horizon()).unwrap();
+                assert_eq!(p.horizon_tr(init).unwrap().to_bits(), want.to_bits());
+            }
+            for init in State::FAILURE {
+                assert!(matches!(
+                    p.horizon_tr(init),
+                    Err(CoreError::FailureInitialState(s)) if s == init
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn second_init_is_answered_from_the_memo() {
+        for p in memo_kernels() {
+            assert!(p.horizon_probs.get().is_none(), "the memo starts empty");
+            p.horizon_tr(S2).unwrap();
+            let memo = *p
+                .horizon_probs
+                .get()
+                .expect("the first init fills the memo");
+            let solved = FastSolver::new(&p)
+                .interval_probabilities(p.horizon())
+                .unwrap();
+            assert_eq!(memo, solved);
+            // The second init reads the filled memo and leaves it as is.
+            let s1 = FastSolver::new(&p)
+                .temporal_reliability(S1, p.horizon())
+                .unwrap();
+            assert_eq!(p.horizon_tr(S1).unwrap().to_bits(), s1.to_bits());
+            assert_eq!(p.horizon_probs.get(), Some(&memo));
+        }
+        // Once filled, the memo is all the accessor reads: seeded values
+        // come straight back for either init, no recursion involved.
+        let p = memo_kernels().remove(0);
+        let seeded = IntervalProbs {
+            p1: [0.25, 0.0, 0.0],
+            p2: [0.0, 0.125, 0.375],
+        };
+        p.horizon_probs.set(seeded).unwrap();
+        assert_eq!(p.horizon_tr(S1).unwrap(), 0.75);
+        assert_eq!(p.horizon_tr(S2).unwrap(), 0.5);
+    }
+
+    #[test]
+    fn solved_and_unsolved_kernels_stay_equal() {
+        for (solved, fresh) in memo_kernels().into_iter().zip(memo_kernels()) {
+            solved.horizon_tr(S1).unwrap();
+            assert!(solved.horizon_probs.get().is_some());
+            assert!(fresh.horizon_probs.get().is_none());
+            assert_eq!(solved, fresh);
+            assert_eq!(solved.content_hash(), fresh.content_hash());
+            assert_eq!(
+                fgcs_runtime::json::to_string(&solved),
+                fgcs_runtime::json::to_string(&fresh)
+            );
+        }
     }
 
     #[test]

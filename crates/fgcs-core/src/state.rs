@@ -62,6 +62,24 @@ impl State {
         State::ALL[i]
     }
 
+    /// The state's digit in the one-digit-per-sample day encoding used on
+    /// the wire and in the registry's WAL and snapshots (`'1'`–`'5'` for
+    /// S1–S5).
+    #[must_use]
+    pub fn digit(self) -> char {
+        char::from(b'1' + self.index() as u8)
+    }
+
+    /// Inverse of [`State::digit`] over a raw byte; `None` for anything
+    /// but `b'1'`–`b'5'`.
+    #[must_use]
+    pub fn from_digit(b: u8) -> Option<State> {
+        match b {
+            b'1'..=b'5' => Some(State::from_index(usize::from(b - b'1'))),
+            _ => None,
+        }
+    }
+
     /// `true` for S3, S4 and S5 — the states that kill a guest job.
     #[must_use]
     pub fn is_failure(self) -> bool {
@@ -99,6 +117,18 @@ mod tests {
     fn index_round_trips() {
         for s in State::ALL {
             assert_eq!(State::from_index(s.index()), s);
+        }
+    }
+
+    #[test]
+    fn digit_round_trips() {
+        let digits: String = State::ALL.iter().map(|s| s.digit()).collect();
+        assert_eq!(digits, "12345");
+        for s in State::ALL {
+            assert_eq!(State::from_digit(s.digit() as u8), Some(s));
+        }
+        for b in [b'0', b'6', b'S', b' ', 0xff] {
+            assert_eq!(State::from_digit(b), None);
         }
     }
 

@@ -1306,6 +1306,12 @@ impl JsonWriter {
         &self.buf
     }
 
+    /// The accumulated text, by value.
+    #[must_use]
+    pub fn into_string(self) -> String {
+        self.buf
+    }
+
     /// Bytes written so far.
     #[must_use]
     pub fn len(&self) -> usize {

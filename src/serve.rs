@@ -43,10 +43,9 @@
 //! `{"op":"batch","ops":[…]}` answers each nested op with its own reply
 //! line, concatenated in request order — byte-identical to sending the ops
 //! as individual lines. Internally the ops are grouped by registry shard so
-//! each shard's lock is taken once per batch ([`ShardedRegistry::session`]),
-//! and runs of `predict` ops against one `(host, day_type, window)` are
-//! answered from a single Eq.-3 recursion (the curve is prefix-closed, so
-//! the values are bit-identical to independent solves). Per-host op order
+//! each shard's lock is taken once per batch ([`ShardedRegistry::session`]);
+//! under it every op runs exactly as it would alone. Predicts that share a
+//! kernel share its memoized Eq.-3 solve, batched or not. Per-host op order
 //! is preserved. `stats`, `shutdown`, and nested `batch` ops are rejected
 //! per-op; an empty `ops` array is an error.
 //!
@@ -634,10 +633,9 @@ impl Server {
     }
 
     /// The shard-batched pipeline behind the `batch` op: parse each nested
-    /// op, group the shard ops by shard, take each shard lock once, answer
-    /// `predict` runs against one `(host, day_type, window)` from a single
-    /// curve solve, then — every lock released — write the replies in
-    /// request order.
+    /// op, group the shard ops by shard, take each shard lock once and run
+    /// its ops in request order, then — every lock released — write the
+    /// replies in request order.
     fn run_batch(&self, req: &JsonSlice<'_>, ops: JsonSliceArray<'_>, out: &mut JsonWriter) {
         let mut answers: Vec<Option<Answer<'_>>> = Vec::new();
         let mut sharded: Vec<Vec<(usize, ShardOp)>> = (0..self.registry.shard_count())
@@ -666,48 +664,8 @@ impl Server {
                 continue;
             }
             let mut session = self.registry.session(shard);
-            let mut ops = ops.into_iter().peekable();
-            while let Some((i, op)) = ops.next() {
-                let ShardOp::Predict {
-                    host,
-                    day_type,
-                    window,
-                    init,
-                } = op
-                else {
-                    answers[i] = Some(run_op(&mut session, op));
-                    continue;
-                };
-                // Maximal run of predicts against one coordinate: one curve
-                // solve answers them all, bit-identically to scalar predicts.
-                let mut run = vec![(i, init)];
-                while let Some(&(
-                    j,
-                    ShardOp::Predict {
-                        host: h,
-                        day_type: d,
-                        window: w,
-                        init,
-                    },
-                )) = ops.peek()
-                {
-                    if (h, d, w) != (host, day_type, window) {
-                        break;
-                    }
-                    run.push((j, init));
-                    ops.next();
-                }
-                let inits: Vec<State> = run.iter().map(|&(_, init)| init).collect();
-                let results = session.predict_many(host, day_type, window, &inits);
-                for (&(j, init), tr) in run.iter().zip(results) {
-                    answers[j] = Some(Answer::Predict {
-                        host,
-                        day_type,
-                        window,
-                        init,
-                        tr,
-                    });
-                }
+            for (i, op) in ops {
+                answers[i] = Some(run_op(&mut session, op));
             }
         }
         for answer in answers {
@@ -741,11 +699,8 @@ impl Server {
                 init,
                 points,
                 curve: Ok(curve),
-            } => match sweep_json(&curve, day_type, window, init, points) {
-                Ok(doc) => {
-                    out.raw(&doc.to_string());
-                    out.raw_char('\n');
-                }
+            } => match write_sweep(out, &curve, day_type, window, init, points) {
+                Ok(()) => out.raw_char('\n'),
                 Err(msg) => write_error_line(out, &msg),
             },
             Answer::Ingest(Err(e))
@@ -1120,12 +1075,9 @@ impl std::fmt::Debug for Server {
 pub fn decode_states(digits: &str) -> Result<Vec<State>, String> {
     digits
         .bytes()
-        .map(|b| match b {
-            b'1'..=b'5' => Ok(State::from_index((b - b'1') as usize)),
-            other => Err(format!(
-                "invalid state digit {:?} (expected 1-5)",
-                other as char
-            )),
+        .map(|b| {
+            State::from_digit(b)
+                .ok_or_else(|| format!("invalid state digit {:?} (expected 1-5)", b as char))
         })
         .collect()
 }
@@ -1134,10 +1086,7 @@ pub fn decode_states(digits: &str) -> Result<Vec<State>, String> {
 /// [`decode_states`]).
 #[must_use]
 pub fn encode_states(states: &[State]) -> String {
-    states
-        .iter()
-        .map(|s| char::from(b'1' + s.index() as u8))
-        .collect()
+    states.iter().map(|s| s.digit()).collect()
 }
 
 /// Parses `"weekday"`/`"weekend"` (the [`DayType`] display strings).
@@ -1192,30 +1141,60 @@ pub fn sweep_json(
     window: TimeWindow,
     init: State,
     points: usize,
-) -> Result<Json, String> {
+) -> Result<String, String> {
+    let mut out = JsonWriter::new();
+    write_sweep(&mut out, curve, day_type, window, init, points)?;
+    Ok(out.into_string())
+}
+
+/// Appends the [`sweep_json`] document to `out`. On error nothing is left
+/// behind: the partial document is rolled back.
+fn write_sweep(
+    out: &mut JsonWriter,
+    curve: &TrCurve,
+    day_type: DayType,
+    window: TimeWindow,
+    init: State,
+    points: usize,
+) -> Result<(), String> {
     if points == 0 {
         return Err("points must be positive".into());
     }
+    let start = out.len();
     let steps = curve.horizon_steps();
-    let mut rows = Vec::with_capacity(points);
+    out.raw("{\"window\":");
+    out.display_string(&window);
+    out.raw(",\"day_type\":");
+    out.display_string(&day_type);
+    out.raw(",\"init\":");
+    out.display_string(&init);
+    out.raw(",\"step_secs\":");
+    out.u64(u64::from(curve.step_secs()));
+    out.raw(",\"horizon_steps\":");
+    out.u64(steps as u64);
+    out.raw(",\"points\":[");
     for i in 1..=points {
         let m = i * steps / points;
-        let tr = curve.tr(init, m).map_err(|e| e.to_string())?;
-        let horizon_hr = m as f64 * f64::from(curve.step_secs()) / 3600.0;
-        rows.push(Json::Obj(vec![
-            ("steps".into(), Json::U64(m as u64)),
-            ("horizon_hr".into(), Json::F64(horizon_hr)),
-            ("tr".into(), Json::F64(tr)),
-        ]));
+        let tr = match curve.tr(init, m) {
+            Ok(tr) => tr,
+            Err(e) => {
+                out.truncate(start);
+                return Err(e.to_string());
+            }
+        };
+        if i > 1 {
+            out.raw_char(',');
+        }
+        out.raw("{\"steps\":");
+        out.u64(m as u64);
+        out.raw(",\"horizon_hr\":");
+        out.f64(m as f64 * f64::from(curve.step_secs()) / 3600.0);
+        out.raw(",\"tr\":");
+        out.f64(tr);
+        out.raw_char('}');
     }
-    Ok(Json::Obj(vec![
-        ("window".into(), Json::Str(window.to_string())),
-        ("day_type".into(), Json::Str(day_type.to_string())),
-        ("init".into(), Json::Str(init.to_string())),
-        ("step_secs".into(), Json::U64(u64::from(curve.step_secs()))),
-        ("horizon_steps".into(), Json::U64(steps as u64)),
-        ("points".into(), Json::Arr(rows)),
-    ]))
+    out.raw("]}");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1313,10 +1292,51 @@ mod tests {
         );
         let window = TimeWindow::from_hours(9.0, 2.0);
         let curve = s.registry().sweep(2, DayType::Weekday, window).unwrap();
-        let want = sweep_json(&curve, DayType::Weekday, window, State::S1, 6)
-            .unwrap()
-            .to_string();
+        let want = sweep_json(&curve, DayType::Weekday, window, State::S1, 6).unwrap();
         assert_eq!(reply.line, want);
+    }
+
+    /// Sweep reply bytes over a history with failures, pinned as the
+    /// tree-built formatter rendered them: fractional and whole TR values
+    /// and horizons, both inits, a cross-midnight window and the `points`
+    /// error.
+    #[test]
+    fn sweep_reply_bytes_are_pinned() {
+        let s = server();
+        for d in 0..6usize {
+            let day: String = (0..14_400usize)
+                .map(|i| {
+                    let h = ((i / 30) as u64 * 2_654_435_761 + d as u64 * 97) % (1 << 32);
+                    match (h >> 16) % 1000 {
+                        0..=849 => '1',
+                        850..=989 => '2',
+                        990..=993 => '3',
+                        994..=996 => '4',
+                        _ => '5',
+                    }
+                })
+                .collect();
+            let req =
+                format!("{{\"op\":\"ingest\",\"host\":3,\"day_index\":{d},\"states\":\"{day}\"}}");
+            assert!(s.handle_line(&req).line.contains("\"ok\":true"));
+        }
+        let pinned = [
+            (
+                r#"{"op":"sweep","host":3,"start":9.25,"hours":1.5,"init":"S2","points":5}"#,
+                r#"{"window":"09:15+1.50h","day_type":"weekday","init":"S2","step_secs":6,"horizon_steps":900,"points":[{"steps":180,"horizon_hr":0.3,"tr":1},{"steps":360,"horizon_hr":0.6,"tr":1},{"steps":540,"horizon_hr":0.9,"tr":1},{"steps":720,"horizon_hr":1.2,"tr":0.6388888888888888},{"steps":900,"horizon_hr":1.5,"tr":0.4027777777777777}]}"#,
+            ),
+            (
+                r#"{"op":"sweep","host":3,"start":9.25,"hours":1.5,"points":0}"#,
+                r#"{"ok":false,"error":"points must be positive"}"#,
+            ),
+            (
+                r#"{"op":"sweep","host":3,"start":22.5,"hours":2.0,"day_type":"weekday","points":3}"#,
+                r#"{"window":"22:30+2.00h","day_type":"weekday","init":"S1","step_secs":6,"horizon_steps":1200,"points":[{"steps":400,"horizon_hr":0.6666666666666666,"tr":1},{"steps":800,"horizon_hr":1.3333333333333333,"tr":1},{"steps":1200,"horizon_hr":2,"tr":1}]}"#,
+            ),
+        ];
+        for (req, want) in pinned {
+            assert_eq!(s.handle_line(req).line, want, "{req}");
+        }
     }
 
     #[test]
