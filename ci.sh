@@ -172,6 +172,23 @@ if [ "$ops_per_sec" -lt 500 ]; then
   echo "batched serve throughput $ops_per_sec ops/sec is below the 500 ops/sec floor"
   exit 1
 fi
+echo "== serve smoke: interleaved ingest/predict over TCP keeps one kernel per coordinate"
+# Each of the 10 ingests is followed by predicts on the same 4 windows, so
+# every weekday re-estimates those 4 coordinates. A superseded kernel must
+# not outlive its replacement: `stats` counts live interned kernels.
+awk '{ print; for (i = 0; i < 4; i++)
+  printf "{\"op\":\"predict\",\"host\":1,\"start\":%d.0,\"hours\":2.0}\n", 6 + i * 3 }' \
+  "$serve_tmp/reqs.jsonl" > "$serve_tmp/interleaved.jsonl"
+echo '{"op":"stats"}' >> "$serve_tmp/interleaved.jsonl"
+start_server
+"$fgcs_bin" query "$addr" < "$serve_tmp/interleaved.jsonl" > "$serve_tmp/interleaved_out.jsonl"
+echo '{"op":"shutdown"}' | "$fgcs_bin" query "$addr" > /dev/null
+wait "$server_pid"
+grep -q '"kernel_dedup_entries":4,' "$serve_tmp/interleaved_out.jsonl" || {
+  echo "4 predicted coordinates should hold 4 live kernels after 10 ingests:"
+  tail -1 "$serve_tmp/interleaved_out.jsonl"
+  exit 1
+}
 echo "== crash-recovery smoke: kill -9 a durable server mid-stream, recovered sweep == offline replay"
 # Stream the first 6 of 10 encoded days into `serve --data-dir` in lockstep
 # (every sent day is acknowledged), then SIGKILL the server — no flush, no

@@ -3,12 +3,14 @@
 //! Q/H estimation re-reads the raw history logs on every TR query
 //! (`qh_estimation/2h` ≈ 43 µs in `BENCH_baseline.json`) even though a
 //! scheduler polling the same machines re-asks for the same
-//! (host, window, day-class, history) over and over. [`QhCache`] is a
-//! capacity-bounded LRU over [`fgcs_runtime::cache::LruCache`] keyed by
-//! exactly those coordinates. The history *length* is part of the key, so
-//! appending a day implicitly invalidates every stale entry for that host;
-//! in-place edits of existing days (e.g. `HistoryStore::days_mut`) must
-//! call [`QhCache::invalidate_host`] explicitly.
+//! (host, window, day-class, history selection) over and over. [`QhCache`]
+//! is a capacity-bounded LRU over [`fgcs_runtime::cache::LruCache`] holding
+//! one kernel per such coordinate, stored next to the history length it
+//! was estimated at. A lookup at any other length misses, and the fresh
+//! estimate replaces the coordinate's kernel in place, so appending a day
+//! supersedes the old kernel instead of stranding it. A store edited in
+//! place (e.g. through `HistoryStore::days_mut`) keeps its length, so it
+//! needs a fresh cache.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,9 +42,8 @@ const DEDUP_STRIPES: usize = 16;
 /// over a shared history into one solve plus 999 memo reads.
 ///
 /// Entries hold only `Weak` handles, which never keep a kernel alive:
-/// dropping the last consumer makes the entry dead. [`QhCache`] eviction
-/// prunes the evicted kernel's bucket, and
-/// [`purge_dead`](KernelDedup::purge_dead) sweeps the whole table.
+/// dropping the last consumer makes the entry dead. When [`QhCache`]
+/// replaces or evicts a kernel it prunes that kernel's bucket.
 #[derive(Default)]
 pub struct KernelDedup {
     stripes: [Mutex<HashMap<u64, Vec<Weak<SmpParams>>>>; DEDUP_STRIPES],
@@ -90,7 +91,7 @@ impl KernelDedup {
     }
 
     /// Drops the dead entries in the bucket for content hash `hash` — the
-    /// bucket an evicted kernel lived in, so eviction does not leave a
+    /// bucket a replaced or evicted kernel lived in, so neither leaves a
     /// dead entry behind. Live kernels in the bucket are kept.
     fn prune(&self, hash: u64) {
         let mut stripe = self.stripe(hash);
@@ -100,24 +101,6 @@ impl KernelDedup {
                 stripe.remove(&hash);
             }
         }
-    }
-
-    /// Sweeps out entries whose kernel has no live consumer, returning how
-    /// many were removed and refreshing the
-    /// `core.registry.kernel_dedup_entries` gauge.
-    pub fn purge_dead(&self) -> usize {
-        let mut removed = 0usize;
-        for stripe in &self.stripes {
-            let mut map = stripe.lock().expect("KernelDedup stripe poisoned");
-            map.retain(|_, bucket| {
-                let before = bucket.len();
-                bucket.retain(|e| e.strong_count() > 0);
-                removed += before - bucket.len();
-                !bucket.is_empty()
-            });
-        }
-        fgcs_runtime::gauge_set!("core.registry.kernel_dedup_entries", self.entries() as f64);
-        removed
     }
 
     /// Number of live interned kernels.
@@ -165,7 +148,8 @@ impl std::fmt::Debug for KernelDedup {
     }
 }
 
-/// The coordinates that determine an estimated kernel.
+/// The query coordinate a kernel answers: everything but the history
+/// length, which is stored next to the kernel instead.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct QhKey {
     host: u64,
@@ -173,9 +157,19 @@ struct QhKey {
     window: TimeWindow,
     max_history_days: Option<usize>,
     same_day_type_only: bool,
-    /// Days in the store at estimation time — appends change this, giving
-    /// implicit invalidation without touching the store's representation.
-    history_days: usize,
+}
+
+impl QhKey {
+    fn new(predictor: &SmpPredictor, host: u64, day_type: DayType, window: TimeWindow) -> QhKey {
+        let (max_history_days, same_day_type_only) = predictor.history_selection();
+        QhKey {
+            host,
+            day_type,
+            window,
+            max_history_days,
+            same_day_type_only,
+        }
+    }
 }
 
 /// A thread-safe LRU cache of estimated [`SmpParams`], shared across
@@ -188,7 +182,8 @@ struct QhKey {
 /// also skips that preprocessing: the fast solver runs straight off the
 /// shared kernel with no per-query setup.
 pub struct QhCache {
-    inner: Mutex<LruCache<QhKey, Arc<SmpParams>>>,
+    /// One kernel per coordinate, with the history length it was built at.
+    inner: Mutex<LruCache<QhKey, (usize, Arc<SmpParams>)>>,
     dedup: Arc<KernelDedup>,
 }
 
@@ -217,9 +212,9 @@ impl QhCache {
         }
     }
 
-    /// Returns the cached kernel for the query coordinates, estimating and
-    /// inserting it on a miss. Hits return the *same* parameters the first
-    /// estimation produced, bit for bit.
+    /// Returns the cached kernel for the query coordinates, estimating it
+    /// on a miss. Hits return the *same* parameters the first estimation
+    /// at this history length produced, bit for bit.
     pub fn get_or_estimate(
         &self,
         predictor: &SmpPredictor,
@@ -246,11 +241,11 @@ impl QhCache {
     /// abstracted: on a miss, `compute` supplies the parameters instead of
     /// the full-scan estimator. This is how the sharded serving registry
     /// populates the cache from its per-host [incremental
-    /// estimators](crate::smp::IncrementalEstimator) — the key shape
-    /// (including `history_days` for implicit append invalidation) is
-    /// identical, so incremental and full-scan fills are interchangeable
-    /// for the same coordinates (and bitwise so, per the estimator's
-    /// contract).
+    /// estimators](crate::smp::IncrementalEstimator). A hit needs the
+    /// stored history length to equal `history_days`; a miss replaces the
+    /// coordinate's kernel. Incremental and full-scan fills are
+    /// interchangeable for the same coordinates (and bitwise so, per the
+    /// estimator's contract).
     pub fn get_or_compute(
         &self,
         predictor: &SmpPredictor,
@@ -260,18 +255,12 @@ impl QhCache {
         window: TimeWindow,
         compute: impl FnOnce() -> Result<Arc<SmpParams>, CoreError>,
     ) -> Result<Arc<SmpParams>, CoreError> {
-        let (max_history_days, same_day_type_only) = predictor.history_selection();
-        let key = QhKey {
-            host,
-            day_type,
-            window,
-            max_history_days,
-            same_day_type_only,
-            history_days,
-        };
-        if let Some(params) = self.lock().get(&key) {
-            fgcs_runtime::counter_add!("core.qh_cache.hits", 1);
-            return Ok(Arc::clone(params));
+        let key = QhKey::new(predictor, host, day_type, window);
+        if let Some((days, params)) = self.lock().get(&key) {
+            if *days == history_days {
+                fgcs_runtime::counter_add!("core.qh_cache.hits", 1);
+                return Ok(Arc::clone(params));
+            }
         }
         fgcs_runtime::counter_add!("core.qh_cache.misses", 1);
         // Compute outside the lock: concurrent misses may estimate the
@@ -281,14 +270,17 @@ impl QhCache {
         // content-equal kernel (when one is alive), so hosts with identical
         // Q/H windows share one `Arc` — and one solve memo.
         let params = self.dedup.intern(compute()?);
-        let evicted = {
+        let displaced = {
             let mut cache = self.lock();
-            let evicted = cache.put(key, Arc::clone(&params));
+            let displaced = cache.put(key.clone(), (history_days, Arc::clone(&params)));
             fgcs_runtime::gauge_set!("core.qh_cache.entries", cache.len() as f64);
-            evicted
+            displaced
         };
-        if let Some((_, old)) = evicted {
-            fgcs_runtime::counter_add!("core.qh_cache.evictions", 1);
+        if let Some((old_key, (_, old))) = displaced {
+            // Replacing this coordinate's stale kernel is not an eviction.
+            if old_key != key {
+                fgcs_runtime::counter_add!("core.qh_cache.evictions", 1);
+            }
             // Release the cache's reference first: if it was the kernel's
             // last consumer, its dedup entry is now dead and pruned.
             let hash = old.content_hash();
@@ -298,16 +290,12 @@ impl QhCache {
         Ok(params)
     }
 
-    /// Returns the *stale* kernel for the query coordinates, if any: an
-    /// entry matching everything but the history length. This is the
-    /// degraded-mode fallback — when fresh estimation fails (e.g. the live
-    /// history was quarantined away), a kernel estimated from an earlier
-    /// history snapshot is still a far better TR source than a prior.
-    ///
-    /// When several lengths are cached the longest history wins (history
-    /// lengths are unique per coordinate set, so the winner is
-    /// deterministic regardless of map iteration order). The recency order
-    /// is not touched: serving stale must not keep stale alive.
+    /// Returns the coordinate's last successfully estimated kernel,
+    /// whatever history length it was built at. This is the degraded-mode
+    /// fallback — when fresh estimation fails (e.g. the live history was
+    /// quarantined away), a kernel estimated from an earlier history
+    /// snapshot is still a far better TR source than a prior. This read
+    /// does not touch the recency order.
     pub fn get_stale(
         &self,
         predictor: &SmpPredictor,
@@ -315,40 +303,12 @@ impl QhCache {
         day_type: DayType,
         window: TimeWindow,
     ) -> Option<Arc<SmpParams>> {
-        let (max_history_days, same_day_type_only) = predictor.history_selection();
-        let cache = self.lock();
-        let found = cache
-            .iter()
-            .filter(|(k, _)| {
-                k.host == host
-                    && k.day_type == day_type
-                    && k.window == window
-                    && k.max_history_days == max_history_days
-                    && k.same_day_type_only == same_day_type_only
-            })
-            .max_by_key(|(k, _)| k.history_days)
-            .map(|(_, v)| Arc::clone(v));
+        let key = QhKey::new(predictor, host, day_type, window);
+        let found = self.lock().peek(&key).map(|(_, params)| Arc::clone(params));
         if found.is_some() {
             fgcs_runtime::counter_add!("core.qh_cache.stale_hits", 1);
         }
         found
-    }
-
-    /// Drops every entry belonging to `host` (needed after in-place
-    /// history mutation; plain appends are covered by the length key).
-    /// Returns how many entries were dropped.
-    pub fn invalidate_host(&self, host: u64) -> usize {
-        let dropped = self.lock().remove_if(|k| k.host == host);
-        fgcs_runtime::counter_add!("core.qh_cache.invalidations", dropped as u64);
-        // Kernels that only this host referenced are now dead; sweep their
-        // dedup entries.
-        self.dedup.purge_dead();
-        dropped
-    }
-
-    /// Drops every entry.
-    pub fn clear(&self) {
-        self.lock().clear();
     }
 
     /// Number of kernels currently cached.
@@ -369,7 +329,7 @@ impl QhCache {
         self.lock().capacity()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, LruCache<QhKey, Arc<SmpParams>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, LruCache<QhKey, (usize, Arc<SmpParams>)>> {
         self.inner.lock().expect("QhCache lock poisoned")
     }
 }
@@ -412,6 +372,13 @@ mod tests {
         s
     }
 
+    /// A weekday (index 4) that fails after its first 50 samples: appending
+    /// it must change the weekday kernel.
+    fn failing_day() -> DayLog {
+        let samples: Vec<_> = (0..1000).map(|i| if i < 50 { S1 } else { S3 }).collect();
+        DayLog::new(4, StateLog::new(6, samples))
+    }
+
     fn predictor() -> SmpPredictor {
         SmpPredictor::new(AvailabilityModel::default())
     }
@@ -443,13 +410,13 @@ mod tests {
             .get_or_estimate(&p, 1, &history, DayType::Weekday, w)
             .unwrap();
         // A new day with very different behaviour must change the answer.
-        let failing: Vec<_> = (0..1000).map(|i| if i < 50 { S1 } else { S3 }).collect();
-        history.push_day(DayLog::new(4, StateLog::new(6, failing)));
+        history.push_day(failing_day());
         let after = cache
             .get_or_estimate(&p, 1, &history, DayType::Weekday, w)
             .unwrap();
         assert!(!Arc::ptr_eq(&before, &after));
         assert_ne!(*before, *after);
+        assert_eq!(cache.len(), 1, "the new kernel replaced the old one");
     }
 
     #[test]
@@ -472,30 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_host_drops_only_that_host() {
-        let cache = QhCache::new(8);
-        let history = store(5);
-        let p = predictor();
-        let w = TimeWindow::new(0, 600);
-        for host in [1, 1, 2] {
-            let w2 = if host == 2 {
-                TimeWindow::new(1200, 600)
-            } else {
-                w
-            };
-            cache
-                .get_or_estimate(&p, host, &history, DayType::Weekday, w2)
-                .unwrap();
-        }
-        cache
-            .get_or_estimate(&p, 1, &history, DayType::Weekday, TimeWindow::new(600, 600))
-            .unwrap();
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.invalidate_host(1), 2);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn predictor_config_is_part_of_the_key() {
         let cache = QhCache::new(8);
         let history = store(10);
@@ -513,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_and_clear() {
+    fn capacity_bounds_distinct_coordinates() {
         let cache = QhCache::new(2);
         let history = store(5);
         let p = predictor();
@@ -525,12 +468,10 @@ mod tests {
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.capacity(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
-    fn get_stale_matches_any_history_length() {
+    fn get_stale_returns_the_coordinates_last_kernel() {
         let cache = QhCache::new(8);
         let p = predictor();
         let w = TimeWindow::new(0, 600);
@@ -543,10 +484,17 @@ mod tests {
         let new = cache
             .get_or_estimate(&p, 1, &h5, DayType::Weekday, w)
             .unwrap();
-        // The longest cached history wins.
+        // The longer history replaced the shorter one's kernel.
+        assert_eq!(cache.len(), 1);
         let stale = cache.get_stale(&p, 1, DayType::Weekday, w).unwrap();
         assert!(Arc::ptr_eq(&stale, &new));
         assert!(!Arc::ptr_eq(&stale, &old));
+        // A failed estimate keeps it: an empty history is still served it.
+        assert!(cache
+            .get_or_estimate(&p, 1, &HistoryStore::new(), DayType::Weekday, w)
+            .is_err());
+        let stale = cache.get_stale(&p, 1, DayType::Weekday, w).unwrap();
+        assert!(Arc::ptr_eq(&stale, &new));
         // Other coordinates do not match.
         assert!(cache.get_stale(&p, 2, DayType::Weekday, w).is_none());
         assert!(cache.get_stale(&p, 1, DayType::Weekend, w).is_none());
@@ -619,22 +567,24 @@ mod tests {
     fn dedup_entries_die_with_their_last_consumer() {
         let dedup = KernelDedup::new();
         let (a, _) = equal_params();
+        let hash = a.content_hash();
         let canon = dedup.intern(Arc::clone(&a));
         assert_eq!(dedup.entries(), 1);
         drop(canon);
         drop(a);
         assert_eq!(dedup.entries(), 0, "dead weak no longer counts");
-        assert_eq!(dedup.purge_dead(), 1);
-        assert_eq!(dedup.purge_dead(), 0);
+        assert_eq!(stored(&dedup), 1);
+        dedup.prune(hash);
+        assert_eq!(stored(&dedup), 0, "prune drops the dead entry");
     }
 
     #[test]
-    fn invalidate_host_evicts_dedup_entries() {
-        // Two hosts share one canonical kernel (identical histories).
-        // Invalidating one host keeps the kernel alive through the other;
-        // invalidating both sweeps the dedup entry too.
+    fn replacing_a_shared_kernel_keeps_it_for_the_other_host() {
+        // Two hosts share one canonical kernel (identical histories). A day
+        // appended to host 1 replaces host 1's kernel; the shared one stays
+        // alive through host 2, and only dead entries are pruned.
         let cache = QhCache::new(8);
-        let history = store(5);
+        let history = store(4);
         let p = predictor();
         let w = TimeWindow::new(0, 600);
         let a = cache
@@ -648,10 +598,26 @@ mod tests {
         assert_eq!(cache.dedup.hits(), 1);
         drop(a);
         drop(b);
-        cache.invalidate_host(1);
-        assert_eq!(cache.dedup.entries(), 1, "host 2 still holds the Arc");
-        cache.invalidate_host(2);
-        assert_eq!(cache.dedup.entries(), 0, "last consumer gone");
+        let mut longer = store(4);
+        longer.push_day(failing_day());
+        let c = cache
+            .get_or_estimate(&p, 1, &longer, DayType::Weekday, w)
+            .unwrap();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(
+            cache.dedup.entries(),
+            2,
+            "host 2 still holds the old kernel"
+        );
+        cache
+            .get_or_estimate(&p, 2, &longer, DayType::Weekday, w)
+            .unwrap();
+        assert_eq!(cache.dedup.entries(), 1, "both hosts now share the new one");
+        assert_eq!(stored(&cache.dedup), 1);
+        assert!(Arc::ptr_eq(
+            &c,
+            &cache.get_stale(&p, 2, DayType::Weekday, w).unwrap()
+        ));
     }
 
     /// Stored dedup entries, live and dead alike.
@@ -665,13 +631,14 @@ mod tests {
 
     #[test]
     fn eviction_prunes_the_evicted_kernels_dedup_entry() {
-        // Each appended day is a new cache key and a new kernel, so every
-        // insert past the capacity evicts the only consumer of an older
-        // kernel. Its dedup entry must go with it.
+        // Consecutive histories are read through distinct windows (nine
+        // 600-s windows inside the 6,000-s test day), so every insert past
+        // the capacity evicts the only consumer of an older kernel. Its
+        // dedup entry must go with it.
         let cache = QhCache::new(2);
         let p = predictor();
-        let w = TimeWindow::new(0, 600);
         for days in 1..=50 {
+            let w = TimeWindow::new((days % 9) as u32 * 600, 600);
             cache
                 .get_or_estimate(&p, 1, &store(days), DayType::Weekday, w)
                 .unwrap();
@@ -681,7 +648,21 @@ mod tests {
                 "{stored} dedup entries after {days} histories"
             );
         }
-        assert_eq!(cache.dedup.entries(), 2);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn one_coordinate_holds_one_kernel_as_its_history_grows() {
+        let cache = QhCache::new(2);
+        let p = predictor();
+        let w = TimeWindow::new(0, 600);
+        for days in 1..=50 {
+            cache
+                .get_or_estimate(&p, 1, &store(days), DayType::Weekday, w)
+                .unwrap();
+            assert_eq!(cache.len(), 1, "after {days} histories");
+            assert_eq!(stored(&cache.dedup), 1, "after {days} histories");
+        }
     }
 
     #[test]

@@ -1391,6 +1391,25 @@ mod tests {
         assert_eq!(stats.kernel_dedup_hits, 5, "five hosts shared the first");
     }
 
+    #[test]
+    fn re_estimation_after_ingest_replaces_the_coordinates_kernel() {
+        // One host on one shard: each ingested day supersedes the kernels
+        // of the four windows predicted after it, so the live kernels never
+        // outnumber the four coordinates.
+        let reg = ShardedRegistry::new(config(1));
+        let mut rng = Xoshiro256::seed_from_u64(29);
+        let windows = [6.0, 9.0, 12.0, 15.0].map(|start| TimeWindow::from_hours(start, 2.0));
+        for d in 0..10 {
+            reg.ingest_day(7, Some(d), random_day(&mut rng, 14_400))
+                .unwrap();
+            for &window in &windows {
+                reg.predict(7, DayType::Weekday, window, S1).unwrap();
+            }
+            let live = reg.stats().kernel_dedup_entries;
+            assert!(live <= 4, "{live} live kernels after day {d}");
+        }
+    }
+
     /// The sweep/predict fingerprint recovery must reproduce bitwise.
     /// The window fits inside the short (720-sample, 1.2 h) test days.
     fn fingerprint(reg: &ShardedRegistry, hosts: &[u64]) -> Vec<u64> {

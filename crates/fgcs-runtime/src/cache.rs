@@ -1,10 +1,10 @@
 //! A capacity-bounded LRU cache on `std` alone.
 //!
 //! Replaces the `lru` crate for the kernel-parameter memoization layer:
-//! `get`/`put`/`remove` are all O(1) via a slab of doubly-linked nodes
+//! `get`/`peek`/`put` are all O(1) via a slab of doubly-linked nodes
 //! (indices instead of pointers, so no `unsafe`) plus a `HashMap` from key
-//! to slab slot. Eviction returns the displaced entry so callers can count
-//! or inspect it.
+//! to slab slot. `put` returns the displaced entry (evicted or replaced)
+//! so callers can count or inspect it.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -40,9 +40,9 @@ struct Node<K, V> {
 #[derive(Debug, Clone)]
 pub struct LruCache<K, V> {
     map: HashMap<K, usize>,
-    /// Slots are `None` only while parked on the free list.
-    slab: Vec<Option<Node<K, V>>>,
-    free: Vec<usize>,
+    /// Grows to `capacity` nodes; after that an eviction reuses the
+    /// evicted node's slot.
+    slab: Vec<Node<K, V>>,
     head: usize,
     tail: usize,
     capacity: usize,
@@ -60,7 +60,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         LruCache {
             map: HashMap::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
@@ -90,119 +89,59 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         let idx = *self.map.get(key)?;
         self.detach(idx);
         self.attach_front(idx);
-        Some(&self.node(idx).value)
+        Some(&self.slab[idx].value)
     }
 
     /// Looks up `key` without touching the recency order.
     #[must_use]
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&idx| &self.node(idx).value)
+        self.map.get(key).map(|&idx| &self.slab[idx].value)
     }
 
     /// Inserts or replaces `key`; returns the entry evicted to make room
     /// (replacing an existing key returns its old value under that key).
     pub fn put(&mut self, key: K, value: V) -> Option<(K, V)> {
         if let Some(&idx) = self.map.get(&key) {
-            let old = std::mem::replace(&mut self.node_mut(idx).value, value);
+            let old = std::mem::replace(&mut self.slab[idx].value, value);
             self.detach(idx);
             self.attach_front(idx);
             return Some((key, old));
         }
-        let evicted = if self.map.len() == self.capacity {
-            let lru = self.tail;
-            self.detach(lru);
-            let node = self.slab[lru].take().expect("tail slot occupied");
-            self.map.remove(&node.key);
-            self.free.push(lru);
-            Some((node.key, node.value))
-        } else {
-            None
-        };
         let node = Node {
             key: key.clone(),
             value,
             prev: NIL,
             next: NIL,
         };
-        let idx = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = Some(node);
-                slot
-            }
-            None => {
-                self.slab.push(Some(node));
-                self.slab.len() - 1
-            }
+        let (idx, evicted) = if self.map.len() == self.capacity {
+            let lru = self.tail;
+            self.detach(lru);
+            let old = std::mem::replace(&mut self.slab[lru], node);
+            self.map.remove(&old.key);
+            (lru, Some((old.key, old.value)))
+        } else {
+            self.slab.push(node);
+            (self.slab.len() - 1, None)
         };
         self.map.insert(key, idx);
         self.attach_front(idx);
         evicted
     }
 
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.map.remove(key)?;
-        self.detach(idx);
-        let node = self.slab[idx].take().expect("mapped slot occupied");
-        self.free.push(idx);
-        Some(node.value)
-    }
-
-    /// Removes every entry for which `pred(key)` holds; returns how many
-    /// were dropped.
-    pub fn remove_if<F: Fn(&K) -> bool>(&mut self, pred: F) -> usize {
-        let doomed: Vec<K> = self.map.keys().filter(|k| pred(k)).cloned().collect();
-        for key in &doomed {
-            self.remove(key);
-        }
-        doomed.len()
-    }
-
-    /// Visits every `(key, value)` pair without touching the recency
-    /// order. Iteration order is unspecified (it follows the internal map),
-    /// so callers needing determinism must reduce with an order-insensitive
-    /// operation (e.g. `max_by_key` over unique keys).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.map.values().map(|&idx| {
-            let node = self.node(idx);
-            (&node.key, &node.value)
-        })
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
-    fn node(&self, idx: usize) -> &Node<K, V> {
-        self.slab[idx].as_ref().expect("linked slot occupied")
-    }
-
-    fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
-        self.slab[idx].as_mut().expect("linked slot occupied")
-    }
-
     /// Unlinks a node from the recency list.
     fn detach(&mut self, idx: usize) {
-        let (prev, next) = {
-            let node = self.node(idx);
-            (node.prev, node.next)
-        };
+        let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
         if prev != NIL {
-            self.node_mut(prev).next = next;
+            self.slab[prev].next = next;
         } else if self.head == idx {
             self.head = next;
         }
         if next != NIL {
-            self.node_mut(next).prev = prev;
+            self.slab[next].prev = prev;
         } else if self.tail == idx {
             self.tail = prev;
         }
-        let node = self.node_mut(idx);
+        let node = &mut self.slab[idx];
         node.prev = NIL;
         node.next = NIL;
     }
@@ -210,13 +149,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Links a node at the most-recently-used end.
     fn attach_front(&mut self, idx: usize) {
         let head = self.head;
-        {
-            let node = self.node_mut(idx);
-            node.prev = NIL;
-            node.next = head;
-        }
+        let node = &mut self.slab[idx];
+        node.prev = NIL;
+        node.next = head;
         if head != NIL {
-            self.node_mut(head).prev = idx;
+            self.slab[head].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -262,60 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_reuse_slot() {
-        let mut c = LruCache::new(3);
-        c.put(1, "a");
-        c.put(2, "b");
-        assert_eq!(c.remove(&1), Some("a"));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.remove(&1), None);
-        c.put(3, "c");
-        c.put(4, "d");
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.get(&2), Some(&"b"));
-        assert_eq!(c.get(&3), Some(&"c"));
-        assert_eq!(c.get(&4), Some(&"d"));
-    }
-
-    #[test]
-    fn remove_if_filters_by_key() {
-        let mut c = LruCache::new(8);
-        for i in 0..6 {
-            c.put(i, i * 10);
-        }
-        let dropped = c.remove_if(|k| k % 2 == 0);
-        assert_eq!(dropped, 3);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.get(&0), None);
-        assert_eq!(c.get(&1), Some(&10));
-    }
-
-    #[test]
-    fn iter_visits_every_entry_without_promoting() {
-        let mut c = LruCache::new(4);
-        c.put(1, "a");
-        c.put(2, "b");
-        c.put(3, "c");
-        let mut seen: Vec<(i32, &str)> = c.iter().map(|(&k, &v)| (k, v)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(1, "a"), (2, "b"), (3, "c")]);
-        // Iteration must not promote: 1 is still the LRU entry.
-        c.put(4, "d");
-        assert_eq!(c.put(5, "e"), Some((1, "a")));
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut c = LruCache::new(2);
-        c.put(1, ());
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.get(&1), None);
-        c.put(2, ());
-        assert_eq!(c.get(&2), Some(&()));
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = LruCache::<u32, u32>::new(0);
@@ -336,6 +219,7 @@ mod tests {
         for i in 0..1000u32 {
             c.put(i, i);
             assert!(c.len() <= 16);
+            assert!(c.slab.len() <= 16, "evictions reuse slots");
         }
         // The 16 most recent keys survive.
         for i in 984..1000 {

@@ -49,10 +49,10 @@ pub struct StateManager {
     last_operational: State,
     overload_run: usize,
     currently_failed: bool,
-    /// Memoized Q/H estimations for the prediction endpoint. The history
-    /// length is part of the cache key, so the daily append in
-    /// [`StateManager::end_day`] invalidates implicitly; wholesale store
-    /// replacement must clear explicitly.
+    /// Memoized Q/H estimations for the prediction endpoint. A kernel is
+    /// reused only at the history length it was built at, so the daily
+    /// append in [`StateManager::end_day`] supersedes it; wholesale store
+    /// replacement needs a fresh cache.
     qh_cache: QhCache,
 }
 
@@ -86,10 +86,9 @@ impl StateManager {
             self.day_index = last.day_index + 1;
         }
         self.store = store;
-        // The replacement store may coincidentally have the same number of
-        // days as the old one, which would defeat the length-keyed implicit
-        // invalidation — drop everything.
-        self.qh_cache.clear();
+        // The replacement store may have as many days as the old one, so
+        // a cached kernel's history length would still match: start over.
+        self.qh_cache = QhCache::new(QH_CACHE_CAPACITY);
     }
 
     /// Processes one monitoring period. `truth` is `None` while the machine

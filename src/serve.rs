@@ -1113,20 +1113,22 @@ pub fn parse_window(start: f64, hours: f64) -> Result<TimeWindow, String> {
     if !start.is_finite() || !hours.is_finite() || start < 0.0 || hours <= 0.0 {
         return Err(format!("invalid window: start {start}h + {hours}h"));
     }
-    let start_secs = (start * 3600.0).round() as u32;
-    let len_secs = (hours * 3600.0).round() as u32;
-    if start_secs >= SECS_PER_DAY {
+    // Bounds are checked in f64, where neither a huge `hours` nor the sum
+    // can wrap or saturate; both fit in u32 once they pass.
+    let start_secs = (start * 3600.0).round();
+    let len_secs = (hours * 3600.0).round();
+    if start_secs >= f64::from(SECS_PER_DAY) {
         return Err(format!("window must start within the day, got {start}h"));
     }
-    if len_secs == 0 {
+    if len_secs < 1.0 {
         return Err(format!("window too short: {hours}h rounds to 0s"));
     }
-    if start_secs + len_secs > 2 * SECS_PER_DAY {
+    if start_secs + len_secs > f64::from(2 * SECS_PER_DAY) {
         return Err(format!(
             "window may cross at most one midnight: {start}h + {hours}h"
         ));
     }
-    Ok(TimeWindow::new(start_secs, len_secs))
+    Ok(TimeWindow::new(start_secs as u32, len_secs as u32))
 }
 
 /// Renders a TR-vs-horizon sweep as a single JSON document: the evenly
@@ -1157,11 +1159,17 @@ fn write_sweep(
     init: State,
     points: usize,
 ) -> Result<(), String> {
+    let steps = curve.horizon_steps();
     if points == 0 {
         return Err("points must be positive".into());
     }
+    // Past one point per step the grid only repeats itself.
+    if points > steps {
+        return Err(format!(
+            "points must be at most horizon_steps ({steps}), got {points}"
+        ));
+    }
     let start = out.len();
-    let steps = curve.horizon_steps();
     out.raw("{\"window\":");
     out.display_string(&window);
     out.raw(",\"day_type\":");
@@ -1255,6 +1263,13 @@ mod tests {
             );
             assert!(!reply.shutdown);
         }
+        // 1,193,046.47 h is just under 2^32 s: wrapping u32 arithmetic
+        // would have let it past the midnight check.
+        assert_eq!(
+            s.handle_line(r#"{"op":"predict","host":1,"start":9,"hours":1193046.47}"#)
+                .line,
+            r#"{"ok":false,"error":"window may cross at most one midnight: 9h + 1193046.47h"}"#
+        );
     }
 
     #[test]
@@ -1296,10 +1311,10 @@ mod tests {
         assert_eq!(reply.line, want);
     }
 
-    /// Sweep reply bytes over a history with failures, pinned as the
-    /// tree-built formatter rendered them: fractional and whole TR values
-    /// and horizons, both inits, a cross-midnight window and the `points`
-    /// error.
+    /// Sweep reply bytes over a history with failures, pinned: fractional
+    /// and whole TR values and horizons, both inits, a cross-midnight
+    /// window, one point per step, and the `points` errors (zero, and more
+    /// points than horizon steps).
     #[test]
     fn sweep_reply_bytes_are_pinned() {
         let s = server();
@@ -1328,6 +1343,14 @@ mod tests {
             (
                 r#"{"op":"sweep","host":3,"start":9.25,"hours":1.5,"points":0}"#,
                 r#"{"ok":false,"error":"points must be positive"}"#,
+            ),
+            (
+                r#"{"op":"sweep","host":3,"start":9.25,"hours":0.01,"points":6}"#,
+                r#"{"window":"09:15+0.01h","day_type":"weekday","init":"S1","step_secs":6,"horizon_steps":6,"points":[{"steps":1,"horizon_hr":0.0016666666666666668,"tr":1},{"steps":2,"horizon_hr":0.0033333333333333335,"tr":1},{"steps":3,"horizon_hr":0.005,"tr":1},{"steps":4,"horizon_hr":0.006666666666666667,"tr":1},{"steps":5,"horizon_hr":0.008333333333333333,"tr":1},{"steps":6,"horizon_hr":0.01,"tr":1}]}"#,
+            ),
+            (
+                r#"{"op":"sweep","host":3,"start":9.25,"hours":0.1,"points":61}"#,
+                r#"{"ok":false,"error":"points must be at most horizon_steps (60), got 61"}"#,
             ),
             (
                 r#"{"op":"sweep","host":3,"start":22.5,"hours":2.0,"day_type":"weekday","points":3}"#,
@@ -1359,6 +1382,9 @@ mod tests {
         assert!(parse_window(9.0, f64::NAN).is_err());
         assert!(parse_window(23.0, 26.0).is_err());
         assert!(parse_window(0.0, 1e-9).is_err());
+        // Lengths whose seconds wrap or saturate u32 are still too long.
+        assert!(parse_window(9.0, 1_193_046.47).is_err());
+        assert!(parse_window(9.0, 1e12).is_err());
     }
 
     #[test]
